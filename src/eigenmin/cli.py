@@ -234,15 +234,16 @@ def cmd_sweep(args):
         raise UsageError(str(exc))
     _emit(sweep_csv(records), args.out)
     if args.profiles:
-        blocks = ["beta,distance,phi_beta,u_beta,x_i,abs_error"]
-        for beta in unique:
-            rows = truncation_profile(
-                mesh, TruncationParams(args.coord, p0, beta)
-            )
-            for row in rows:
-                blocks.append(repr(beta) + "," + ",".join(repr(v) for v in row))
         with open(args.profiles, "w", encoding="ascii") as fh:
-            fh.write("\n".join(blocks) + "\n")
+            fh.write("beta,distance,phi_beta,u_beta,x_i,abs_error\n")
+            for beta in unique:
+                rows = truncation_profile(
+                    mesh, TruncationParams(args.coord, p0, beta)
+                )
+                prefix = repr(beta) + ","
+                fh.writelines(
+                    prefix + ",".join(repr(v) for v in row) + "\n" for row in rows
+                )
     return EXIT_OK
 
 
@@ -307,7 +308,7 @@ def cmd_oracle(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="solver start-block seed (default 0)")
+                        help="solver start-vector seed (default 0)")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--config", default=None,
                         help="key = value file of flag defaults; flags win")

@@ -1,21 +1,27 @@
 """Deterministic low-end eigenpairs of the P1 pencil (S, M).
 
-Small or awkwardly sized problems go through a dense generalized solve;
-large sparse ones run blocked LOBPCG with a fixed congruential start block,
-a Jacobi preconditioner and chunked warm restarts.  Either way the returned
-residuals are recomputed from the matrices, so a Spectrum certifies itself:
-||S v - lambda M v|| / ||M v|| <= tolerance holds for every reported pair.
+Problems of dimension up to 600 go through a dense generalized solve.
+Larger ones factor S + M once (sparse LU with a symmetric ordering and
+diagonal pivots) and run shift-invert Lanczos (ARPACK) about sigma = -1
+from a fixed seeded start vector; the constant mode is deflated by dropping
+the Ritz vector with the largest mass-weighted mean.  Either way the
+returned residuals are recomputed from the matrices, so a Spectrum
+certifies itself: ||S v - lambda M v|| / ||M v|| <= tolerance holds for
+every reported pair.
+
+The Morse index needs no eigensolve: by Sylvester's law of inertia the
+number of eigenvalues below c equals the number of negative pivots of the
+symmetric factorization of S - c M.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import lobpcg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .canonical import CanonicalSurface, exact_eigenvalue_list, exact_spectrum
 from .fem import FemOperators, assemble
@@ -34,7 +40,10 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 600
-_CHUNK = 150
+# Shift of the factored pencil S - sigma M.  S is positive semidefinite and
+# M positive definite, so S + M is positive definite and the shift sits
+# below the whole spectrum.
+_SIGMA = -1.0
 
 
 class SolverError(RuntimeError):
@@ -70,19 +79,26 @@ class Spectrum:
 
 def _pencil(ops):
     if isinstance(ops, FemOperators):
-        return ops.stiffness, ops.mass
-    S, M = ops
-    return sp.csr_matrix(S, dtype=float), sp.csr_matrix(M, dtype=float)
+        S, M = ops.stiffness, ops.mass
+    else:
+        S, M = ops
+        S, M = sp.csr_matrix(S, dtype=float), sp.csr_matrix(M, dtype=float)
+    if S.shape != M.shape or S.shape[0] != S.shape[1]:
+        raise ValueError("stiffness and mass must be square and same shape")
+    if np.any(M.diagonal() <= 0):
+        raise ValueError("mass matrix must be symmetric positive definite")
+    return S, M
 
 
-def _start_block(dim: int, k: int, seed: int, cols: int) -> np.ndarray:
-    """Reproducible start block from a 32-bit linear congruential stream."""
-    state = (dim * 2654435761 + k * 97531 + seed * 1013904223) & 0xFFFFFFFF
-    out = np.empty(dim * cols)
-    for i in range(dim * cols):
-        state = (1664525 * state + 1013904223) & 0xFFFFFFFF
-        out[i] = state / 4294967296.0 - 0.5
-    return out.reshape(dim, cols)
+def _factor(A):
+    """Sparse LU of the symmetric matrix A with diagonal pivots.
+
+    The ordering is symmetric and no row is exchanged for stability, so
+    when perm_r equals perm_c the factor is P A P' = L U with U = D L' and
+    the diagonal of U carries the pivots of the LDL' factorization.
+    """
+    return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def _residuals(S, M, vals, vecs):
@@ -91,13 +107,6 @@ def _residuals(S, M, vals, vecs):
         r = S @ v - lam * (M @ v)
         res[i] = np.linalg.norm(r) / max(np.linalg.norm(M @ v), 1e-300)
     return res
-
-
-def _orthonormalize(M, vecs):
-    """Polish vectors to exact M-orthonormality via a Cholesky factor."""
-    G = vecs.T @ (M @ vecs)
-    R = np.linalg.cholesky(G).T
-    return vecs @ np.linalg.inv(R)
 
 
 def _solve_dense(S, M, k, tol, deflate, dim):
@@ -120,45 +129,55 @@ def _solve_dense(S, M, k, tol, deflate, dim):
     return Spectrum(vals, vecs, res, tol, 1, deflate)
 
 
-def _solve_lobpcg(S, M, k, tol, deflate, dim, seed, maxiter):
-    cols = k + 4
-    X = _start_block(dim, k, seed, cols)
-    Y = np.ones((dim, 1)) if deflate else None
-    diag = S.diagonal()
-    prec = sp.diags(1.0 / np.maximum(diag, 1e-12))
-    inner_tol = tol * np.sqrt(np.median(M.diagonal()))
-    iterations = 0
-    best = None
-    best_res = np.inf
-    while iterations < maxiter:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = lobpcg(
-                S, X, B=M, M=prec, Y=Y, tol=inner_tol,
-                maxiter=_CHUNK, largest=False,
-            )
-        iterations += _CHUNK
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        try:
-            polished = _orthonormalize(M, vecs[:, :k])
-        except np.linalg.LinAlgError:
-            X = _start_block(dim, k, seed + iterations, cols)
-            continue
-        lam = np.einsum("ij,ij->j", polished, S @ polished)
-        res = _residuals(S, M, lam, polished)
-        worst = res.max()
-        if worst < best_res:
-            best_res = worst
-            best = Spectrum(lam, polished, res, tol, iterations, deflate)
-        if worst <= tol:
-            return best
-        X = vecs  # warm restart with the full block
-    raise NonConvergence(
-        "residual %.3e above tolerance %.1e after %d iterations"
-        % (best_res, tol, iterations),
-        spectrum=best,
-    )
+def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
+    """Sorted Spectrum of the lowest k Ritz pairs, residuals recomputed.
+
+    Deflation drops the Ritz vector with the largest |1'M v|, the one that
+    carries the constant mode.
+    """
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    if deflate and vals.size:
+        drop = np.argmax(np.abs((M @ np.ones(S.shape[0])) @ vecs))
+        keep = np.arange(vals.size) != drop
+        vals, vecs = vals[keep], vecs[:, keep]
+    vals, vecs = vals[:k], vecs[:, :k]
+    return Spectrum(vals, vecs, _residuals(S, M, vals, vecs), tol, iterations,
+                    deflate)
+
+
+def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
+    lu = _factor(S - _SIGMA * M)
+    applications = 0
+
+    def apply_inverse(x):
+        nonlocal applications
+        applications += 1
+        return lu.solve(x)
+
+    op_inv = LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
+    v0 = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
+    wanted = k + 1 if deflate else k
+    try:
+        vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
+                           tol=0, maxiter=maxiter)
+    except ArpackNoConvergence as exc:
+        partial = _ritz_spectrum(S, M, exc.eigenvalues, exc.eigenvectors, k,
+                                 tol, applications, deflate)
+        raise NonConvergence(
+            "ARPACK converged %d of %d Ritz pairs after %d operator"
+            " applications" % (exc.eigenvalues.size, wanted, applications),
+            spectrum=partial,
+        ) from exc
+    spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications, deflate)
+    worst = spectrum.residuals.max()
+    if worst > tol:
+        raise NonConvergence(
+            "residual %.3e above tolerance %.1e after %d operator applications"
+            % (worst, tol, applications),
+            spectrum=spectrum,
+        )
+    return spectrum
 
 
 def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
@@ -170,12 +189,12 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
     space, so the reported eigenvalues start at the first nonzero one.
     Residuals of the returned pairs are certified below ``tol``; if the
     iteration budget runs out first, NonConvergence carries the best
-    partial spectrum.
+    partial spectrum.  On the sparse path ``seed`` fixes the start vector,
+    ``maxiter`` bounds the ARPACK restarts and ``Spectrum.iterations``
+    counts applications of the factored inverse; the dense path reports 1.
     """
     S, M = _pencil(ops)
     dim = S.shape[0]
-    if S.shape != M.shape or S.shape[0] != S.shape[1]:
-        raise ValueError("stiffness and mass must be square and same shape")
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 1e-12 <= tol <= 1e-4:
@@ -183,16 +202,13 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
     limit = dim - 1 if deflate_constants else dim
     if k > limit:
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
-    if np.any(M.diagonal() <= 0):
-        raise ValueError("mass matrix must be symmetric positive definite")
 
-    if dim <= _DENSE_CUTOFF or 5 * (k + 4) >= dim:
-        if dim > _DENSE_CUTOFF and k * 4 >= dim:
-            raise ValueError("k must satisfy k < dim/4 for large problems")
+    if dim <= _DENSE_CUTOFF:
         return _solve_dense(S, M, k, tol, deflate_constants, dim)
     if k * 4 >= dim:
         raise ValueError("k must satisfy k < dim/4 for large problems")
-    return _solve_lobpcg(S, M, k, tol, deflate_constants, dim, seed, maxiter)
+    return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed,
+                               maxiter)
 
 
 @dataclass(frozen=True)
@@ -261,8 +277,23 @@ def eigen_convergence_order(surface: CanonicalSurface, resolutions, k: int,
     return out
 
 
+def _count_below(S, M, shift):
+    """Number of eigenvalues of S v = lambda M v below ``shift``.
+
+    By Sylvester's law of inertia this is the number of negative pivots of
+    the symmetric factorization of S - shift M.
+    """
+    lu = _factor(S - shift * M)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            "the factorization of S - %.12g M left the diagonal; its pivots"
+            " do not give the inertia" % shift
+        )
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def morse_index(ops, potential_constant: float, tol: float = 1e-8,
-                oracle_levels=None, seed: int = 0) -> int:
+                oracle_levels=None) -> int:
     """Number of eigenvalues of S v = lambda M v below ``potential_constant``.
 
     This is the index of the quadratic form u'Su - c u'Mu with
@@ -273,12 +304,14 @@ def morse_index(ops, potential_constant: float, tol: float = 1e-8,
     classified and raise IndeterminateIndex; values at or above c - 10 tol
     count as nonnegative directions, which is the correct reading for a
     conforming discretization, where discrete eigenvalues approach exact
-    ones from above.
+    ones from above.  Both counts are inertia counts of a factorization;
+    no eigenpair is computed.
     """
     if potential_constant < 0:
         raise ValueError("potential constant must be nonnegative")
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError("tol must lie in [1e-12, 1e-4]")
     S, M = _pencil(ops)
-    dim = S.shape[0]
     margin = 10.0 * tol
     if oracle_levels is not None:
         below = [lv for lv in oracle_levels if lv < potential_constant - 1e-12]
@@ -286,26 +319,14 @@ def morse_index(ops, potential_constant: float, tol: float = 1e-8,
             margin = max(margin, 0.05 * (potential_constant - max(below)))
         else:
             margin = max(margin, 0.05 * potential_constant)
-    k = min(8, dim)
-    while True:
-        spectrum = solve_lowest((S, M), k, tol=tol, deflate_constants=False,
-                                seed=seed)
-        vals = spectrum.eigenvalues
-        if vals[-1] > potential_constant + margin or k == dim:
-            break
-        grown = min(2 * k, dim if dim <= _DENSE_CUTOFF else dim // 5)
-        if grown <= k:
-            raise SolverError(
-                "could not bracket the potential constant %g within k=%d"
-                % (potential_constant, k)
-            )
-        k = grown
     lo = potential_constant - margin
     hi = potential_constant - 10.0 * tol
-    banded = vals[(vals >= lo) & (vals < hi)]
-    if banded.size:
-        raise IndeterminateIndex(
-            "eigenvalue %.12g lies in the margin band [%.6g, %.6g)"
-            % (banded[0], lo, hi)
-        )
-    return int(np.count_nonzero(vals < lo))
+    index = _count_below(S, M, lo)
+    if hi > lo:
+        banded = _count_below(S, M, hi) - index
+        if banded:
+            raise IndeterminateIndex(
+                "%d eigenvalue(s) lie in the margin band [%.6g, %.6g)"
+                % (banded, lo, hi)
+            )
+    return index

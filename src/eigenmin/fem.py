@@ -124,31 +124,28 @@ def assemble(mesh: TriMesh) -> FemOperators:
     c1 = cot(p2 - p1, p0 - p1)
     c2 = cot(p0 - p2, p1 - p2)
 
-    rows, cols, vals = [], [], []
-    for (a, b), c in (
-        ((F[:, 1], F[:, 2]), c0),
-        ((F[:, 2], F[:, 0]), c1),
-        ((F[:, 0], F[:, 1]), c2),
-    ):
-        half = 0.5 * c
-        rows += [a, b, a, b]
-        cols += [b, a, a, b]
-        vals += [-half, -half, half, half]
-    stiffness = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
+    # S and M share one sparsity pattern: both directions of every face
+    # edge (the edges opposite vertex 0, 1, 2 in turn) plus the diagonal.
+    tail = np.concatenate([F[:, 1], F[:, 2], F[:, 0]]).astype(np.int64)
+    head = np.concatenate([F[:, 2], F[:, 0], F[:, 1]]).astype(np.int64)
+    diag = np.arange(nv, dtype=np.int64)
+    pattern, slot = np.unique(
+        np.concatenate([tail * nv + head, head * nv + tail, diag * (nv + 1)]),
+        return_inverse=True,
     )
+    edge_slot, diag_slot = slot[:-nv], slot[-nv:]
+    rows = pattern // nv
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
 
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(F[:, a])
-            cols.append(F[:, b])
-            vals.append(areas * (1.0 / 6.0 if a == b else 1.0 / 12.0))
-    mass = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    )
+    half_cot = 0.5 * np.concatenate([c0, c1, c2])
+    s_data = np.bincount(edge_slot, np.tile(-half_cot, 2), minlength=pattern.size)
+    s_data[diag_slot] = -np.bincount(rows, s_data, minlength=nv)
+    m_data = np.bincount(edge_slot, np.tile(areas / 12.0, 6), minlength=pattern.size)
+    m_data[diag_slot] = np.bincount(F.ravel(), np.repeat(areas / 6.0, 3),
+                                    minlength=nv)
+    indices = pattern % nv
+    stiffness = sp.csr_matrix((s_data, indices, indptr), shape=(nv, nv))
+    mass = sp.csr_matrix((m_data, indices, indptr), shape=(nv, nv))
 
     lumped = np.asarray(mass.sum(axis=1)).ravel()
     return FemOperators(stiffness=stiffness, mass=mass, mass_lumped=lumped, dim=nv)

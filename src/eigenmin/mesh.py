@@ -276,11 +276,9 @@ def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
-    undirected = {
-        (min(int(a), int(b)), max(int(a), int(b)))
-        for a, b in _directed_edges(mesh.faces)
-    }
-    euler = mesh.vertex_count - len(undirected) + mesh.face_count
+    ends = np.sort(_directed_edges(mesh.faces), axis=1).astype(np.int64)
+    edge_count = np.unique(ends[:, 0] * mesh.vertex_count + ends[:, 1]).size
+    euler = mesh.vertex_count - edge_count + mesh.face_count
     return MeshStats(
         vertex_count=mesh.vertex_count,
         face_count=mesh.face_count,

@@ -255,7 +255,8 @@ def convergence_table(surface: CanonicalSurface, resolutions, quantity: str,
 
 
 class _SurfaceData:
-    """Per-resolution memo so each mesh, operator pair and solve happens once."""
+    """Per-resolution memo so each mesh, its stats, operator pair and solve
+    happen once."""
 
     def __init__(self, surface, solver_tol, seed):
         self.surface = surface
@@ -263,6 +264,7 @@ class _SurfaceData:
         self.seed = seed
         self._mesh = {}
         self._ops = {}
+        self._stats = {}
         self._spectrum = {}
 
     def mesh(self, r):
@@ -274,6 +276,11 @@ class _SurfaceData:
         if r not in self._ops:
             self._ops[r] = assemble(self.mesh(r))
         return self._ops[r]
+
+    def stats(self, r):
+        if r not in self._stats:
+            self._stats[r] = mesh_stats(self.mesh(r))
+        return self._stats[r]
 
     def spectrum(self, r, k, deflate=True):
         key = (r, k, deflate)
@@ -330,7 +337,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
         wall[check.id] = now - mark
         mark = now
 
-    widths = [mesh_stats(data.mesh(r)).max_edge for r in resolutions]
+    widths = [data.stats(r).max_edge for r in resolutions]
 
     # --- eigenvalues: value, cluster, order -------------------------------
     prefix = "C1" if torus else "C2"
@@ -467,7 +474,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- volume bound -------------------------------------------------------
     def volume_checks():
-        area = mesh_stats(data.mesh(finest)).total_area
+        area = data.stats(finest).total_area
         add(volume_bound_check(surface, area, 0.01 * tol))
         vol_s1 = 2.0 * math.pi
         bound_1 = canonical.volume_lower_bound(1)
@@ -488,7 +495,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
         add(make_check(
             "euler",
             "Euler characteristic of the finest mesh",
-            float(mesh_stats(data.mesh(finest)).euler_char), float(target_chi),
+            float(data.stats(finest).euler_char), float(target_chi),
             0.0, mode="absolute",
         ))
 
@@ -502,7 +509,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
         target = 5 if torus else 1
         try:
             idx = morse_index(data.ops(finest), potential, tol=solver_tol,
-                              oracle_levels=levels, seed=seed)
+                              oracle_levels=levels)
             add(make_check(
                 "C9-index",
                 "eigenvalue count below the stability potential n + |A|^2 = %g"
@@ -527,7 +534,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- two-eigenvalue average ----------------------------------------------
     def conjecture_checks():
-        area = mesh_stats(data.mesh(finest)).total_area
+        area = data.stats(finest).total_area
         add(conjecture_check(surface, data.spectrum(finest, 6), area, 0.01 * tol))
 
     conjecture_checks()

@@ -54,6 +54,18 @@ def test_spectrum_command(capsys):
     assert lam0 == pytest.approx(2.0, rel=0.1)
 
 
+def test_spectrum_sphere_subdiv5_converges(capsys):
+    rc = main(["spectrum", "--surface", "sphere", "--subdiv", "5", "--k", "6"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "dim: 10242" in out
+    rows = out.splitlines()[out.splitlines().index("eigenvalue residual") + 1:]
+    values = np.array([[float(t) for t in row.split()] for row in rows])
+    assert values.shape == (6, 2)
+    assert np.all(values[:, 1] <= 1e-8)
+    assert values[:3, 0] == pytest.approx(2.0, rel=1e-3)
+
+
 def test_spectrum_deflate_false(capsys):
     rc = main(["spectrum", "--surface", "clifford", "--resolution", "8",
                "--k", "2", "--deflate", "false"])

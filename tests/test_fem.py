@@ -53,6 +53,43 @@ def test_single_triangle_element_matrices():
     assert ops.mass_lumped == pytest.approx(np.full(3, 0.5 / 3.0), rel=1e-15)
 
 
+def _coo_reference(m):
+    """Element-by-element COO assembly of (S, M), duplicates summed by scipy."""
+    V, F = m.vertices, m.faces
+    n = m.vertex_count
+    areas = mesh.face_areas(V, F)
+    s_rows, s_cols, s_vals = [], [], []
+    for i in range(3):
+        a, b, c = F[:, i], F[:, (i + 1) % 3], F[:, (i + 2) % 3]
+        dot = np.einsum("ij,ij->i", V[b] - V[a], V[c] - V[a])
+        half_cot = 0.25 * dot / areas  # half the cotangent of the angle at a
+        s_rows += [b, c, b, c]
+        s_cols += [c, b, b, c]
+        s_vals += [-half_cot, -half_cot, half_cot, half_cot]
+    S = sp.coo_matrix((np.concatenate(s_vals),
+                       (np.concatenate(s_rows), np.concatenate(s_cols))), shape=(n, n))
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    M = sp.coo_matrix((
+        np.concatenate([areas / (6.0 if i == j else 12.0) for i, j in pairs]),
+        (np.concatenate([F[:, i] for i, _ in pairs]),
+         np.concatenate([F[:, j] for _, j in pairs])),
+    ), shape=(n, n))
+    return S.tocsr(), M.tocsr()
+
+
+@pytest.mark.parametrize("maker", [lambda: mesh.generate_torus(16),
+                                   lambda: mesh.generate_sphere(3)])
+def test_assemble_matches_elementwise_reference(maker):
+    m = maker()
+    ops = assemble(m)
+    S, M = _coo_reference(m)
+    assert abs(ops.stiffness - S).max() <= 2e-15
+    assert abs(ops.mass - M).max() <= 2e-15 * abs(M).max()
+    # S and M are stored over the same sparsity pattern
+    assert np.array_equal(ops.stiffness.indptr, ops.mass.indptr)
+    assert np.array_equal(ops.stiffness.indices, ops.mass.indices)
+
+
 def test_assemble_shapes_and_symmetry(ops64, torus64):
     assert ops64.dim == torus64.vertex_count
     assert ops64.stiffness.shape == (ops64.dim, ops64.dim)

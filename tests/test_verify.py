@@ -226,3 +226,19 @@ def test_run_all_sphere_small_structure():
     assert "C5-limit" in ids and "C8-bound" in ids and "C11-order" in ids
     text = render_report(report)
     assert text.startswith(REPORT_VERSION)
+
+
+def test_run_all_solves_each_level_once(monkeypatch):
+    # One spectrum per level serves C1/C2, C9 and C10; the Morse index
+    # counts pivots instead of solving again.
+    dims = []
+    real = eigen.solve_lowest
+
+    def counting(ops, *args, **kwargs):
+        dims.append(ops.dim)
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_lowest", counting)
+    monkeypatch.setattr(eigen, "solve_lowest", counting)
+    run_all(TORUS, resolutions=[8, 16, 32])
+    assert sorted(dims) == [64, 256, 1024]
