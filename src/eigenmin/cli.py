@@ -24,7 +24,14 @@ from .fem import (
     project_mean_zero,
     rayleigh,
 )
-from .mesh import MeshError, generate, mesh_stats, read_mesh, write_mesh
+from .mesh import (
+    MeshError,
+    generate,
+    mesh_stats,
+    read_mesh,
+    repr_floats,
+    write_mesh,
+)
 from .trial import (
     TruncationParams,
     build_truncation,
@@ -234,17 +241,27 @@ def cmd_sweep(args):
         raise UsageError(str(exc))
     _emit(sweep_csv(records), args.out)
     if args.profiles:
-        with open(args.profiles, "w", encoding="ascii") as fh:
-            fh.write("beta,distance,phi_beta,u_beta,x_i,abs_error\n")
-            for beta in unique:
-                rows = truncation_profile(
-                    mesh, TruncationParams(args.coord, p0, beta)
-                )
-                prefix = repr(beta) + ","
-                fh.writelines(
-                    prefix + ",".join(repr(v) for v in row) + "\n" for row in rows
-                )
+        _write_profiles(args.profiles, mesh, args.coord, p0, unique)
     return EXIT_OK
+
+
+def _write_profiles(path, mesh, coord, p0, betas):
+    """Stream the decay profiles one beta block at a time.
+
+    Distance and x_i do not depend on beta, so their strings are made once;
+    each block formats only its phi_beta, u_beta and abs_error columns.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("beta,distance,phi_beta,u_beta,x_i,abs_error\n")
+        cells = None
+        for beta in betas:
+            block = truncation_profile(mesh, TruncationParams(coord, p0, beta))
+            if cells is None:
+                cells = np.empty(block.shape, dtype=object)
+                cells[:, [0, 3]] = repr_floats(block[:, [0, 3]]).reshape(-1, 2)
+            cells[:, [1, 2, 4]] = repr_floats(block[:, [1, 2, 4]]).reshape(-1, 3)
+            row = repr(beta) + ",%s,%s,%s,%s,%s\n"
+            fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
 
 
 def cmd_verify(args):

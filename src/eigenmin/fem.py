@@ -11,7 +11,6 @@ All quadratic-form helpers accept either a plain value array of length
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "FemOperators",
     "NodalFunction",
     "assemble",
-    "interpolate",
     "coordinate_function",
     "rayleigh",
     "project_mean_zero",
@@ -33,7 +31,6 @@ __all__ = [
     "takahashi_residual",
     "face_gradient_sq",
     "coordinate_gradient_identity",
-    "export_coo",
 ]
 
 # A face whose area falls below this is treated as degenerate: the cotangent
@@ -149,17 +146,6 @@ def assemble(mesh: TriMesh) -> FemOperators:
 
     lumped = np.asarray(mass.sum(axis=1)).ravel()
     return FemOperators(stiffness=stiffness, mass=mass, mass_lumped=lumped, dim=nv)
-
-
-def interpolate(mesh: TriMesh, f) -> NodalFunction:
-    """Sample a callable of the ambient position at every vertex."""
-    values = np.empty(mesh.vertex_count)
-    for i, vertex in enumerate(mesh.vertices):
-        values[i] = f(vertex)
-    bad = np.nonzero(~np.isfinite(values))[0]
-    if bad.size:
-        raise ValueError("interpolated value at vertex %d is not finite" % bad[0])
-    return NodalFunction(values, mesh)
 
 
 def coordinate_function(mesh: TriMesh, index: int) -> NodalFunction:
@@ -321,13 +307,3 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
         total += face_gradient_sq(mesh, mesh.vertices[:, i])
     return total
 
-
-def export_coo(matrix) -> str:
-    """Serialize a sparse matrix as 'row col value' lines, row-major order."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    buf = io.StringIO()
-    buf.write("%d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-    for idx in order:
-        buf.write("%d %d %s\n" % (coo.row[idx], coo.col[idx], repr(float(coo.data[idx]))))
-    return buf.getvalue()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -67,6 +68,20 @@ def _directed_edges(faces: np.ndarray) -> np.ndarray:
     )
 
 
+def _first_repeat(keys: np.ndarray, n: int):
+    """Sorted keys, and the earliest position at which some key occurs for
+    the n-th time (None if none does).
+
+    The argsort is stable, so equal keys keep their position order and an
+    entry equal to the one n-1 places before it is the n-th or a later
+    occurrence of its key.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    hit = ordered[n - 1:] == ordered[: len(ordered) - n + 1]
+    return ordered, (int(order[n - 1:][hit].min()) if hit.any() else None)
+
+
 def validate(mesh: TriMesh) -> None:
     """Check the structural mesh invariants, raising MeshError on violation.
 
@@ -93,23 +108,35 @@ def validate(mesh: TriMesh) -> None:
     if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
         raise MeshError("degenerate face (repeated vertex)")
 
-    edges = _directed_edges(f)
-    directed = set()
-    undirected: dict[tuple[int, int], int] = {}
-    for a, b in edges:
-        key = (int(a), int(b))
-        ukey = (min(key), max(key))
-        undirected[ukey] = undirected.get(ukey, 0) + 1
-        if undirected[ukey] > 2:
-            raise MeshError(f"non-manifold edge {ukey}")
-        if key in directed:
-            raise MeshError(f"inconsistent orientation at edge {key}")
-        directed.add(key)
-    for a, b in directed:
-        if (b, a) not in directed:
-            raise MeshError(f"boundary edge ({a}, {b}); mesh is not closed")
+    edges = _directed_edges(f).astype(np.int64)
+    a, b = edges[:, 0], edges[:, 1]
+    nv = len(v)
+    ukeys = np.minimum(a, b) * nv + np.maximum(a, b)
+    dkeys = a * nv + b
+    # An edge-ordered scan stops at the earliest position where an undirected
+    # edge is seen a third time or a directed edge a second time; report
+    # that position, preferring non-manifold when both fall on it.
+    usorted, nonmanifold = _first_repeat(ukeys, 3)
+    dsorted, flipped = _first_repeat(dkeys, 2)
+    if nonmanifold is not None and (flipped is None or nonmanifold <= flipped):
+        lo, hi = sorted((int(a[nonmanifold]), int(b[nonmanifold])))
+        raise MeshError(f"non-manifold edge {(lo, hi)}")
+    if flipped is not None:
+        raise MeshError(
+            f"inconsistent orientation at edge {(int(a[flipped]), int(b[flipped]))}"
+        )
+    rkeys = b * nv + a
+    slot = np.minimum(np.searchsorted(dsorted, rkeys), max(len(dsorted) - 1, 0))
+    if not np.all(dsorted[slot] == rkeys):
+        # Name the edge a set-based scan names first.  Iteration order of a
+        # set of int pairs depends only on the insertion sequence, so
+        # rebuilding the set in edge order reproduces it.
+        directed = set(zip(a.tolist(), b.tolist()))
+        a0, b0 = next((x, y) for x, y in directed if (y, x) not in directed)
+        raise MeshError(f"boundary edge ({a0}, {b0}); mesh is not closed")
 
-    euler = len(v) - len(undirected) + len(f)
+    edge_count = int(np.count_nonzero(np.diff(usorted))) + 1 if len(usorted) else 0
+    euler = nv - edge_count + len(f)
     if mesh.surface is not None:
         expected = 0 if mesh.surface.kind == "clifford" else 2
         if euler != expected:
@@ -174,25 +201,26 @@ _ICO_FACES = np.array(
 
 
 def _split_edges(vertices: np.ndarray, faces: np.ndarray):
-    """1->4 midpoint split; returns unprojected midpoints appended last."""
-    cache: dict[tuple[int, int], int] = {}
-    new_pts: list[np.ndarray] = []
+    """1->4 midpoint split; returns unprojected midpoints appended last.
+
+    Midpoints are numbered in order of first encounter, walking the faces in
+    order and each face's edges ab, bc, ca.
+    """
     base = len(vertices)
-
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = cache.get(key)
-        if idx is None:
-            idx = base + len(new_pts)
-            cache[key] = idx
-            new_pts.append(0.5 * (vertices[a] + vertices[b]))
-        return idx
-
-    out = np.empty((4 * len(faces), 3), dtype=int)
-    for k, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out[4 * k : 4 * k + 4] = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    merged = np.concatenate([vertices, np.array(new_pts)], axis=0)
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+    ends = ends.astype(np.int64)
+    keys = ends.min(axis=1) * base + ends.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    encounter = np.argsort(first)
+    rank = np.empty_like(encounter)
+    rank[encounter] = np.arange(len(encounter))
+    mid = (base + rank[inverse]).reshape(-1, 3)
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    ab, bc, ca = mid[:, 0], mid[:, 1], mid[:, 2]
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    first_ends = ends[first[encounter]]
+    new_pts = 0.5 * (vertices[first_ends[:, 0]] + vertices[first_ends[:, 1]])
+    merged = np.concatenate([vertices, new_pts], axis=0)
     return merged, out
 
 
@@ -295,14 +323,26 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
 _MAGIC = "SMESH"
 
 
+def repr_floats(values) -> np.ndarray:
+    """``repr`` of every float in ``values``, flattened, as an object array.
+
+    Calls ``repr`` once per distinct bit pattern, so repeated values (and
+    there are many in meshes and decay profiles) cost one lookup each;
+    -0.0 and 0.0 have different patterns and keep their own strings.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return strings[inverse]
+
+
 def write_mesh(mesh: TriMesh, path) -> None:
-    lines = [f"{_MAGIC} 4", f"{mesh.vertex_count} {mesh.face_count}"]
-    for row in mesh.vertices:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    for a, b, c in mesh.faces:
-        lines.append(f"{a} {b} {c}")
+    nv, width = mesh.vertices.shape
+    vertex_rows = (" ".join(["%s"] * width) + "\n") * nv
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_MAGIC} 4\n{nv} {mesh.face_count}\n")
+        fh.write(vertex_rows % tuple(repr_floats(mesh.vertices).tolist()))
+        fh.write(("%d %d %d\n" * mesh.face_count) % tuple(mesh.faces.ravel().tolist()))
 
 
 def _infer_surface(vertices: np.ndarray):
@@ -315,6 +355,38 @@ def _infer_surface(vertices: np.ndarray):
     return None, None
 
 
+def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
+                 parse_reason: str, limit=None) -> np.ndarray:
+    """Parse whitespace-separated rows of ``width`` numbers of type ``kind``.
+
+    The rows go to numpy's C reader in one call.  Only if it rejects them
+    (or they do not all have ``width`` fields) are they rescanned one line
+    at a time, failing at the first bad line with its reason.  Python's
+    ``float``/``int`` accept digit separators ('1_0') that numpy's reader
+    rejects; such a block parses in the rescan, as it always has.  With
+    ``limit``, the rescan also fails a line with an entry outside
+    [0, limit), so that it reports lines in file order.
+    """
+    try:
+        block = np.loadtxt(rows, dtype=kind, comments=None, ndmin=2)
+        if block.shape == (len(rows), width):
+            return block
+    except ValueError:
+        pass
+    block = np.empty((len(rows), width), dtype=kind)
+    for k, text in enumerate(rows):
+        parts = text.split()
+        if len(parts) != width:
+            fail(linenos[k], count_reason)
+        try:
+            block[k] = [kind(t) for t in parts]
+        except ValueError:
+            fail(linenos[k], parse_reason)
+        if limit is not None and (block[k].min() < 0 or block[k].max() >= limit):
+            fail(linenos[k], "face index out of range")
+    return block
+
+
 def read_mesh(path) -> TriMesh:
     """Parse an SMESH file, validate all mesh invariants, tag the surface.
 
@@ -323,58 +395,44 @@ def read_mesh(path) -> TriMesh:
     untagged but must still be closed, oriented, and on the unit sphere.
     """
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
-    rows = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(raw, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+        lines = list(map(str.strip, fh.readlines()))
+    # Content lines are the nonblank lines not starting with '#'.  map and
+    # compress iterate in C, so no bytecode runs per line.
+    keep = np.fromiter(map(bool, lines), bool, len(lines))
+    keep &= ~np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
+    linenos = np.flatnonzero(keep) + 1
+    rows = list(compress(lines, keep))
     if not rows:
         raise MeshError(f"{path}: empty mesh file")
 
     def fail(lineno: int, reason: str):
-        raise MeshError(f"{path}:{lineno}: {reason}")
+        raise MeshError(f"{path}:{int(lineno)}: {reason}")
 
-    lineno, header = rows[0]
-    parts = header.split()
+    parts = rows[0].split()
     if len(parts) != 2 or parts[0] != _MAGIC or parts[1] != "4":
-        fail(lineno, f"expected header '{_MAGIC} 4'")
+        fail(linenos[0], f"expected header '{_MAGIC} 4'")
     if len(rows) < 2:
         raise MeshError(f"{path}: missing count line")
-    lineno, counts = rows[1]
     try:
-        nv, nf = (int(t) for t in counts.split())
+        nv, nf = (int(t) for t in rows[1].split())
     except ValueError:
-        fail(lineno, "count line must be two integers")
+        fail(linenos[1], "count line must be two integers")
     if nv < 3 or nf < 2:
-        fail(lineno, "vertex/face counts too small for a closed mesh")
+        fail(linenos[1], "vertex/face counts too small for a closed mesh")
     if len(rows) != 2 + nv + nf:
         raise MeshError(
             f"{path}: expected {2 + nv + nf} content lines, found {len(rows)}"
         )
 
-    vertices = np.empty((nv, 4))
-    for k in range(nv):
-        lineno, text = rows[2 + k]
-        parts = text.split()
-        if len(parts) != 4:
-            fail(lineno, "vertex line must have 4 coordinates")
-        try:
-            vertices[k] = [float(t) for t in parts]
-        except ValueError:
-            fail(lineno, "unparsable vertex coordinate")
-    faces = np.empty((nf, 3), dtype=int)
-    for k in range(nf):
-        lineno, text = rows[2 + nv + k]
-        parts = text.split()
-        if len(parts) != 3:
-            fail(lineno, "face line must have 3 indices")
-        try:
-            faces[k] = [int(t) for t in parts]
-        except ValueError:
-            fail(lineno, "unparsable face index")
-        if faces[k].min() < 0 or faces[k].max() >= nv:
-            fail(lineno, "face index out of range")
+    vertices = _parse_block(rows[2 : 2 + nv], linenos[2 : 2 + nv], fail, 4, float,
+                            "vertex line must have 4 coordinates",
+                            "unparsable vertex coordinate")
+    faces = _parse_block(rows[2 + nv :], linenos[2 + nv :], fail, 3, int,
+                         "face line must have 3 indices",
+                         "unparsable face index", limit=nv)
+    bad = np.flatnonzero(np.any((faces < 0) | (faces >= nv), axis=1))
+    if bad.size:
+        fail(linenos[2 + nv + bad[0]], "face index out of range")
 
     surface, params = _infer_surface(vertices)
     mesh = TriMesh(vertices, faces, surface, params)

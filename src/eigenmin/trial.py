@@ -37,7 +37,6 @@ __all__ = [
     "sweep_beta",
     "sweep_csv",
     "truncation_profile",
-    "profile_csv",
 ]
 
 SWEEP_HEADER = "beta,rayleigh_raw,rayleigh_projected,orthogonality_defect,sup_error,grad_l2_error"
@@ -228,30 +227,22 @@ def sweep_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def truncation_profile(mesh: TriMesh, params: TruncationParams):
-    """Per-vertex profile data for plotting: distance, decay, u, x, error.
+def truncation_profile(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
+    """Per-vertex profile data for plotting, as a (V, 5) array.
 
-    Rows are sorted by distance to the base point (vertex index breaking
-    ties), which makes the file directly plottable as decay curves.
+    Columns: distance to the base point, decay exp(-beta d^2)/beta, u_beta,
+    x_i and |u_beta - x_i|.  Rows are sorted by distance (vertex index
+    breaking ties), which makes them directly plottable as decay curves.
     """
     if mesh.surface is None or mesh.param_coords is None:
         raise ValueError("profiles need a mesh with surface parameters")
+    _check_coord(mesh.surface, params.coord_index)
     d = np.asarray(
         geodesic_distance(mesh.surface, mesh.param_coords, params.base_point)
     )
     x = mesh.vertices[:, params.coord_index - 1]
-    u = build_truncation(mesh, params).values
     with np.errstate(under="ignore"):
         phi = np.exp(-params.beta * d * d) / params.beta
+    u = x * _truncation_factor(params.beta, d)
     order = np.lexsort((np.arange(len(d)), d))
-    return [
-        (float(d[i]), float(phi[i]), float(u[i]), float(x[i]), float(abs(u[i] - x[i])))
-        for i in order
-    ]
-
-
-def profile_csv(rows) -> str:
-    lines = ["distance,phi_beta,u_beta,x_i,abs_error"]
-    for row in rows:
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return np.stack([d, phi, u, x, np.abs(u - x)], axis=1)[order]

@@ -14,9 +14,7 @@ from eigenmin.fem import (
     assemble,
     coordinate_function,
     coordinate_gradient_identity,
-    export_coo,
     face_gradient_sq,
-    interpolate,
     mean_curvature,
     project_mean_zero,
     rayleigh,
@@ -130,18 +128,14 @@ def test_assemble_rejects_degenerate_face(torus16):
         assemble(TriMesh(verts, faces))
 
 
-def test_interpolate_and_coordinate_function(torus16):
-    u = interpolate(torus16, lambda v: v[0])
-    assert isinstance(u, NodalFunction)
-    assert np.array_equal(u.values, torus16.vertices[:, 0])
+def test_coordinate_function(torus16):
     x2 = coordinate_function(torus16, 2)
+    assert isinstance(x2, NodalFunction)
     assert np.array_equal(x2.values, torus16.vertices[:, 1])
     with pytest.raises(ValueError):
         coordinate_function(torus16, 0)
     with pytest.raises(ValueError):
         coordinate_function(torus16, 5)
-    with pytest.raises(ValueError, match="vertex 0"):
-        interpolate(torus16, lambda v: float("nan"))
 
 
 def test_rayleigh_basics(ops16, torus16):
@@ -256,28 +250,6 @@ def test_takahashi_residual_shrinks_under_refinement():
         ops = assemble(m)
         values.append(takahashi_residual(ops, m.vertices[:, 0], 2))
     assert values[1] < 0.5 * values[0]
-
-
-def test_export_coo_roundtrip(ops16):
-    text = export_coo(ops16.stiffness)
-    lines = text.splitlines()
-    header = lines[0].split()
-    assert len(header) == 3
-    rows, cols, nnz = (int(t) for t in header)
-    assert rows == cols == ops16.dim
-    assert nnz == len(lines) - 1
-    triples = [line.split() for line in lines[1:]]
-    rebuilt = sp.coo_matrix(
-        (
-            [float(t[2]) for t in triples],
-            ([int(t[0]) for t in triples], [int(t[1]) for t in triples]),
-        ),
-        shape=(rows, cols),
-    )
-    assert abs(rebuilt - ops16.stiffness).max() == 0.0
-    # Entries are sorted lexicographically by (row, col).
-    keys = [(int(t[0]), int(t[1])) for t in triples]
-    assert keys == sorted(keys)
 
 
 def test_nodal_function_validation(torus16):

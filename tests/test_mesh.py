@@ -1,11 +1,12 @@
 """Tests for mesh generation, validation, refinement, and serialization."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from eigenmin import canonical, mesh
+from eigenmin import canonical, cli, mesh
 from eigenmin.mesh import (
     MeshError,
     TriMesh,
@@ -200,3 +201,280 @@ def test_read_mesh_error_paths(tmp_path):
 
     with pytest.raises((MeshError, OSError)):
         read_mesh(tmp_path / "missing.smesh")
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the vectorized mesh bookkeeping.  These are the
+# edge-by-edge versions validate and _split_edges replaced; the vectorized
+# code must name the same edge in every error and number midpoints the same.
+# ---------------------------------------------------------------------------
+
+
+def _validate_reference(m):
+    v, f = m.vertices, m.faces
+    norms = np.linalg.norm(v, axis=1)
+    bad = np.nonzero(np.abs(norms - 1.0) > 1e-12)[0]
+    if bad.size:
+        raise MeshError(f"off-sphere vertex {bad[0]} (norm {norms[bad[0]]:.12g})")
+    if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
+        raise MeshError("face index out of range")
+    if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])):
+        raise MeshError("degenerate face (repeated vertex)")
+    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+    directed = set()
+    undirected = {}
+    for a, b in edges:
+        key = (int(a), int(b))
+        ukey = (min(key), max(key))
+        undirected[ukey] = undirected.get(ukey, 0) + 1
+        if undirected[ukey] > 2:
+            raise MeshError(f"non-manifold edge {ukey}")
+        if key in directed:
+            raise MeshError(f"inconsistent orientation at edge {key}")
+        directed.add(key)
+    for a, b in directed:
+        if (b, a) not in directed:
+            raise MeshError(f"boundary edge ({a}, {b}); mesh is not closed")
+    euler = len(v) - len(undirected) + len(f)
+    if m.surface is not None:
+        expected = 0 if m.surface.kind == "clifford" else 2
+        if euler != expected:
+            raise MeshError(f"Euler characteristic {euler}, expected {expected}")
+
+
+def _split_edges_reference(vertices, faces):
+    cache = {}
+    new_pts = []
+    base = len(vertices)
+
+    def midpoint(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = cache.get(key)
+        if idx is None:
+            idx = base + len(new_pts)
+            cache[key] = idx
+            new_pts.append(0.5 * (vertices[a] + vertices[b]))
+        return idx
+
+    out = np.empty((4 * len(faces), 3), dtype=int)
+    for k, (a, b, c) in enumerate(faces):
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out[4 * k : 4 * k + 4] = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return np.concatenate([vertices, np.array(new_pts)], axis=0), out
+
+
+def _outcome(check, m):
+    try:
+        check(m)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(m, rng):
+    """Seeded structural corruptions of a closed, oriented mesh."""
+    f = m.faces
+    nf, nv = len(f), m.vertex_count
+    i, j = (int(t) for t in rng.choice(nf, size=2, replace=False))
+    flipped = f.copy()
+    flipped[i] = flipped[i][::-1]
+    yield "flipped face", flipped
+    yield "dropped face", np.delete(f, i, axis=0)
+    yield "duplicated face", np.insert(f, j, f[i], axis=0)
+    shared = f.copy()
+    a, b = f[i, 0], f[i, 1]
+    others = np.setdiff1d(np.arange(nv), f[i])
+    shared[j] = (a, b, int(rng.choice(others)))
+    yield "shared directed edge", shared
+    # replace r in face j = (p, q, r) by another neighbour of q, so the
+    # undirected edge {q, s} is used by three faces
+    swapped = f.copy()
+    p, q, r = (int(t) for t in np.roll(f[j], -int(rng.integers(3))))
+    ring = np.unique(f[np.any(f == q, axis=1)])
+    swapped[j] = np.roll((p, q, int(rng.choice(np.setdiff1d(ring, (p, q, r))))),
+                         int(rng.integers(3)))
+    yield "swapped index", swapped
+
+
+@pytest.mark.parametrize("name", ["torus16", "sphere2"])
+def test_validate_matches_loop_reference(name, request):
+    m = request.getfixturevalue(name)
+    kinds = set()
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for label, faces in _corruptions(m, rng):
+            broken = TriMesh(m.vertices, faces, m.surface)
+            expected = _outcome(_validate_reference, broken)
+            assert expected is not None, (seed, label)
+            assert _outcome(validate, broken) == expected, (seed, label)
+            kinds.add(expected.split(" ")[0])
+    # every failure of the edge scan is exercised
+    assert kinds == {"non-manifold", "inconsistent", "boundary"}
+
+
+def test_validate_matches_loop_reference_on_valid_meshes(torus16, sphere2):
+    for m in (torus16, sphere2, refine(torus16)):
+        assert _outcome(validate, m) is None
+        assert _outcome(_validate_reference, m) is None
+    wrong_tag = TriMesh(sphere2.vertices, sphere2.faces, canonical.clifford_torus())
+    assert _outcome(validate, wrong_tag) == _outcome(_validate_reference, wrong_tag)
+    assert "Euler characteristic 2" in _outcome(validate, wrong_tag)
+
+
+def test_generate_sphere_matches_loop_reference():
+    verts = mesh._ICO_VERTS / np.linalg.norm(mesh._ICO_VERTS, axis=1, keepdims=True)
+    faces = mesh._ICO_FACES
+    for level in range(6):
+        direct = generate_sphere(level)
+        assert np.array_equal(direct.faces, faces)
+        assert np.array_equal(direct.vertices[:, :3], verts)
+        verts, faces = _split_edges_reference(verts, faces)
+        verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", ["torus16", "sphere2"])
+def test_split_edges_matches_loop_reference(name, request):
+    m = request.getfixturevalue(name)
+    verts, faces = mesh._split_edges(m.vertices, m.faces)
+    ref_verts, ref_faces = _split_edges_reference(m.vertices, m.faces)
+    assert faces.dtype == ref_faces.dtype
+    assert np.array_equal(faces, ref_faces)
+    assert np.array_equal(verts, ref_verts)
+    fine = refine(m)
+    assert np.array_equal(fine.faces, ref_faces)
+
+
+# ---------------------------------------------------------------------------
+# Stable bytes.  The SMESH and --profiles formats are part of the interface;
+# these digests were taken before the writers were vectorized (numpy 2.4,
+# x86-64).  A platform whose cos/sin/exp round differently changes them.
+# ---------------------------------------------------------------------------
+
+GOLDEN_SMESH = {
+    "torus16": "9fbf0535ab9cea6716255595090e8680c19f767d095e1697deec85456fe6a9b6",
+    "sphere2": "30cba52baa73d92bfed7fbdea5e2ef99db7150f7dcdc970094365770b417a2c3",
+}
+GOLDEN_PROFILES = {
+    "torus16": (["--surface", "clifford", "--resolution", "16",
+                 "--coord", "3", "--p0", "0.3,1.7"],
+                "3b54119bb612007882215f28c5d12cabc52d5e2fc7b0ccc38827e15af8fda0e7"),
+    "sphere2": (["--surface", "sphere", "--subdiv", "2",
+                 "--coord", "2", "--p0", "0.48,0.6,0.64,0.0"],
+                "af9a6579634e7f916f71c74d50ea275fd65159e8b892a912d715df2570c9f211"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SMESH))
+def test_write_mesh_golden_bytes(name, request, tmp_path):
+    path = tmp_path / "m.smesh"
+    write_mesh(request.getfixturevalue(name), path)
+    assert _sha256(path) == GOLDEN_SMESH[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+def test_sweep_profiles_golden_bytes(name, tmp_path):
+    argv, digest = GOLDEN_PROFILES[name]
+    profiles = tmp_path / "profiles.csv"
+    rc = cli.main(["sweep"] + argv + ["--out", str(tmp_path / "sweep.csv"),
+                                      "--profiles", str(profiles)])
+    assert rc == 0
+    assert _sha256(profiles) == digest
+
+
+def test_repr_floats_matches_repr():
+    values = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 2.0, 0.1, -0.0]
+    assert mesh.repr_floats(values).tolist() == list(map(repr, values))
+    grid = np.array(values[:6]).reshape(2, 3)
+    assert mesh.repr_floats(grid).tolist() == list(map(repr, grid.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# read_mesh error paths: each message names the file line of the first
+# offending content line, as the line-by-line reader always has.
+# ---------------------------------------------------------------------------
+
+
+def _ico_lines(tmp_path):
+    good = tmp_path / "ico.smesh"
+    write_mesh(generate_sphere(0), good)
+    return good.read_text().splitlines()  # 2 header, 12 vertex, 20 face lines
+
+
+def _read_error(path):
+    with pytest.raises(MeshError) as info:
+        read_mesh(path)
+    return str(info.value)
+
+
+def test_read_mesh_crlf_line_endings(tmp_path):
+    lines = _ico_lines(tmp_path)
+    path = tmp_path / "crlf.smesh"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    loaded = read_mesh(path)
+    assert np.array_equal(loaded.vertices, generate_sphere(0).vertices)
+    lines[20] = "0 1"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    assert _read_error(path) == f"{path}:21: face line must have 3 indices"
+
+
+def test_read_mesh_comments_and_blanks_keep_line_numbers(tmp_path):
+    lines = _ico_lines(tmp_path)
+    original = lines[5]
+    lines[5] = "0.1 0.2 x 0.0"
+    padded = ["# leading comment", ""]
+    for k, line in enumerate(lines):
+        padded += [line, "   ", "  # note %d" % k] if k % 3 == 0 else [line]
+    path = tmp_path / "padded.smesh"
+    path.write_text("\n".join(padded) + "\n")
+    bad = padded.index("0.1 0.2 x 0.0")
+    assert _read_error(path) == f"{path}:{bad + 1}: unparsable vertex coordinate"
+    # padding and odd whitespace inside a data line are fine
+    padded[bad] = "\t" + "  ".join(original.split())
+    path.write_text("\n".join(padded) + "\n")
+    assert np.array_equal(read_mesh(path).vertices, generate_sphere(0).vertices)
+
+
+@pytest.mark.parametrize("row, text, reason", [
+    (4, "{} # note", "vertex line must have 4 coordinates"),
+    (20, "{} # note", "face line must have 3 indices"),
+    (20, "0 1.0 2", "unparsable face index"),
+    (20, "0 1 12", "face index out of range"),
+    (7, "0.5 0.5 0.5", "vertex line must have 4 coordinates"),
+])
+def test_read_mesh_rejects_bad_line(tmp_path, row, text, reason):
+    lines = _ico_lines(tmp_path)
+    lines[row] = text.format(lines[row])
+    path = tmp_path / "bad.smesh"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:{row + 1}: {reason}"
+
+
+def test_read_mesh_first_bad_line_wins(tmp_path):
+    lines = _ico_lines(tmp_path)
+    lines[16] = "0 1 99"
+    lines[25] = "0 x 2"
+    path = tmp_path / "two.smesh"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:17: face index out of range"
+    every_short = lines[:2] + [" ".join(t.split()[:3]) for t in lines[2:14]] + lines[14:]
+    path.write_text("\n".join(every_short) + "\n")
+    assert _read_error(path) == f"{path}:3: vertex line must have 4 coordinates"
+
+
+def test_read_mesh_accepts_python_digit_separators(tmp_path):
+    # float() and int() accept '0_0' and '1_0'; the reader always has.
+    lines = _ico_lines(tmp_path)
+    lines[2] = lines[2].rsplit(" ", 1)[0] + " 0_0"
+    lines[14] = "0 1_1 5"
+    path = tmp_path / "sep.smesh"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = read_mesh(path)
+    assert np.array_equal(loaded.vertices, generate_sphere(0).vertices)
+    assert np.array_equal(loaded.faces, generate_sphere(0).faces)
+    lines[3] = "1_0 " + lines[3].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path).startswith("off-sphere vertex 1 (norm 10.")

@@ -12,7 +12,6 @@ from eigenmin.trial import (
     TruncationParams,
     build_truncation,
     orthogonality_defect,
-    profile_csv,
     sweep_beta,
     sweep_csv,
     truncation_gradient_sq,
@@ -209,13 +208,15 @@ def test_sweep_csv_format(torus16, ops16):
 def test_profile_rows_sorted_and_consistent(torus16):
     params = _params(beta=2.0)
     rows = truncation_profile(torus16, params)
-    assert len(rows) == torus16.vertex_count
-    dists = [r[0] for r in rows]
-    assert dists == sorted(dists)
+    assert rows.shape == (torus16.vertex_count, 5)
+    dists = rows[:, 0]
+    assert np.all(np.diff(dists) >= 0.0)
     for d, phi, u, x, err in rows[:20]:
         assert err == pytest.approx(abs(u - x), abs=1e-15)
         assert err == pytest.approx(abs(x) * phi, rel=1e-12, abs=1e-15)
-    text = profile_csv(rows)
-    header = text.splitlines()[0]
-    assert header == "distance,phi_beta,u_beta,x_i,abs_error"
-    assert len(text.splitlines()) == torus16.vertex_count + 1
+    # u_beta is the truncation build_truncation samples, bit for bit.
+    d = np.asarray(canonical.geodesic_distance(TORUS, torus16.param_coords,
+                                               params.base_point))
+    order = np.lexsort((np.arange(torus16.vertex_count), d))
+    assert np.array_equal(rows[:, 0], d[order])
+    assert np.array_equal(rows[:, 2], build_truncation(torus16, params).values[order])
