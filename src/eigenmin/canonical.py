@@ -164,19 +164,6 @@ def exact_spectrum(
     return out
 
 
-def exact_eigenvalue_list(surface: CanonicalSurface, k: int) -> list[float]:
-    """First k nonzero eigenvalues, each level repeated by its multiplicity."""
-    out: list[float] = []
-    levels = 2
-    while True:
-        for value, mult in exact_spectrum(surface, levels)[1:]:
-            out.extend([value] * mult)
-            if len(out) >= k:
-                return out[:k]
-        out.clear()
-        levels *= 2
-
-
 def exact_area(surface: CanonicalSurface) -> float:
     """Exact Riemannian volume (area for n = 2) of the surface.
 

@@ -23,19 +23,15 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .canonical import CanonicalSurface, exact_eigenvalue_list, exact_spectrum
-from .fem import FemOperators, assemble
-from .mesh import generate, mesh_stats
+from .fem import FemOperators
 
 __all__ = [
     "Spectrum",
     "SolverError",
     "NonConvergence",
     "IndeterminateIndex",
-    "OrderEstimate",
     "solve_lowest",
     "observed_order",
-    "eigen_convergence_order",
     "morse_index",
 ]
 
@@ -211,15 +207,6 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
                                maxiter)
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
-    """Observed convergence order of one discrete eigenvalue."""
-
-    index: int
-    order: float
-    ambiguous: bool
-
-
 def observed_order(errors, widths):
     """Log-ratio order from the two finest levels; inf when both are exact.
 
@@ -236,45 +223,6 @@ def observed_order(errors, widths):
     if e1 <= 0 or e0 <= 0:
         return float("inf") if e1 <= 1e-12 else 0.0
     return float(np.log(e0 / e1) / np.log(widths[-2] / widths[-1]))
-
-
-def eigen_convergence_order(surface: CanonicalSurface, resolutions, k: int,
-                            tol: float = 1e-8, seed: int = 0):
-    """Observed order of each of the first k nonzero eigenvalues.
-
-    Solves on every resolution, compares against the closed-form spectrum
-    and estimates the order from the two finest meshes using their actual
-    maximum edge lengths.  An estimate is flagged ambiguous when the
-    discrete eigenvalue sits closer to a different exact level than the one
-    its index assigns, or when its error exceeds half the gap to the
-    neighboring levels.
-    """
-    if len(resolutions) < 2:
-        raise ValueError("need at least two resolutions")
-    oracle = np.array(exact_eigenvalue_list(surface, k))
-    levels = sorted({lam for lam, _ in exact_spectrum(surface, k + 1)})
-    errors = []
-    widths = []
-    finest = None
-    for r in resolutions:
-        m = generate(surface, r)
-        spectrum = solve_lowest(assemble(m), k, tol=tol, seed=seed)
-        errors.append(np.abs(spectrum.eigenvalues - oracle))
-        widths.append(mesh_stats(m).max_edge)
-        finest = spectrum.eigenvalues
-    errors = np.array(errors)
-    out = []
-    for i in range(k):
-        order = observed_order(errors[:, i], widths)
-        lam = finest[i]
-        nearest = min(levels, key=lambda lv: abs(lv - lam))
-        gap = min(
-            (abs(lv - oracle[i]) for lv in levels if abs(lv - oracle[i]) > 1e-9),
-            default=np.inf,
-        )
-        ambiguous = nearest != oracle[i] or errors[-1, i] > 0.49 * gap
-        out.append(OrderEstimate(index=i, order=order, ambiguous=bool(ambiguous)))
-    return out
 
 
 def _count_below(S, M, shift):

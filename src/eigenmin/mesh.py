@@ -3,8 +3,7 @@
 All meshes live in R^4 with every vertex exactly on the unit sphere: the
 torus meshes sample the flat (theta, phi) grid, the sphere meshes are
 subdivided icosahedra pushed into the equatorial slice x_4 = 0.  Meshes are
-immutable once built; generation, refinement and (de)serialization are pure
-functions.
+immutable once built; generation and (de)serialization are pure functions.
 """
 
 from __future__ import annotations
@@ -224,14 +223,6 @@ def _split_edges(vertices: np.ndarray, faces: np.ndarray):
     return merged, out
 
 
-def _project_torus(vertices: np.ndarray) -> np.ndarray:
-    out = vertices.copy()
-    for pair in ((0, 1), (2, 3)):
-        r = np.linalg.norm(out[:, pair], axis=1)
-        out[:, pair] /= (r * SQRT2)[:, None]
-    return out
-
-
 def _torus_params(vertices: np.ndarray) -> np.ndarray:
     theta = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]), TWO_PI)
     phi = np.mod(np.arctan2(vertices[:, 3], vertices[:, 2]), TWO_PI)
@@ -266,32 +257,6 @@ def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
     raise MeshError("unknown surface kind %r" % surface.kind)
 
 
-def refine(mesh: TriMesh) -> TriMesh:
-    """Split every triangle 1->4 and project new vertices back to the surface.
-
-    Sphere midpoints are normalized; torus midpoints have their (x1, x2) and
-    (x3, x4) pairs renormalized to radius 1/sqrt(2), the nearest-point
-    projection onto the torus.
-    """
-    if mesh.surface is None:
-        raise MeshError("refinement requires a recognized surface tag")
-    verts, faces = _split_edges(mesh.vertices, mesh.faces)
-    if mesh.surface.kind == "clifford":
-        verts = _project_torus(verts)
-        params = _torus_params(verts)
-    else:
-        verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
-        verts[:, 3] = 0.0
-        params = verts
-    return TriMesh(verts, faces, mesh.surface, params)
-
-
-def edge_lengths(mesh: TriMesh) -> np.ndarray:
-    edges = _directed_edges(mesh.faces)
-    diff = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    return np.linalg.norm(diff, axis=1)
-
-
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Flat areas of the embedded triangles (Gram determinant form)."""
     u = vertices[faces[:, 1]] - vertices[faces[:, 0]]
@@ -304,14 +269,17 @@ def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
-    ends = np.sort(_directed_edges(mesh.faces), axis=1).astype(np.int64)
-    edge_count = np.unique(ends[:, 0] * mesh.vertex_count + ends[:, 1]).size
+    edges = _directed_edges(mesh.faces)
+    ends = np.sort(edges, axis=1).astype(np.int64)
+    keys = np.sort(ends[:, 0] * mesh.vertex_count + ends[:, 1])
+    edge_count = int(np.count_nonzero(np.diff(keys))) + 1 if len(keys) else 0
     euler = mesh.vertex_count - edge_count + mesh.face_count
+    diff = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     return MeshStats(
         vertex_count=mesh.vertex_count,
         face_count=mesh.face_count,
         euler_char=euler,
-        max_edge=float(edge_lengths(mesh).max()),
+        max_edge=float(np.linalg.norm(diff, axis=1).max()),
         total_area=float(face_areas(mesh.vertices, mesh.faces).sum()),
     )
 

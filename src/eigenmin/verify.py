@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, trial
+from . import canonical
 from .canonical import CanonicalSurface
 from .eigen import (
     IndeterminateIndex,
@@ -29,12 +29,13 @@ from .eigen import (
     solve_lowest,
 )
 from .fem import (
+    FemOperators,
     assemble,
     coordinate_gradient_identity,
     takahashi_residual,
     willmore_energy,
 )
-from .mesh import generate, mesh_stats
+from .mesh import MeshStats, TriMesh, generate, mesh_stats
 from .trial import TruncationParams, orthogonality_defect, sweep_beta
 
 __all__ = [
@@ -44,12 +45,8 @@ __all__ = [
     "run_all",
     "conjecture_check",
     "volume_bound_check",
-    "convergence_table",
-    "ConvergenceTable",
-    "ConvergenceRow",
     "render_report",
     "report_csv",
-    "write_report",
 ]
 
 REPORT_VERSION = "EIGENMIN-REPORT 1"
@@ -193,111 +190,26 @@ def volume_bound_check(surface: CanonicalSurface, area: float,
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    resolution: int
-    error: float
-    order: float | None
+class _Level:
+    """One resolution: its mesh, operators, stats, lowest deflated spectrum
+    and the coordinate functions that are not identically zero."""
+
+    mesh: TriMesh
+    ops: FemOperators
+    stats: MeshStats
+    spectrum: Spectrum
+    coords: tuple
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    quantity: str
-    rows: list
-    monotone: bool
-
-
-_QUANTITIES = ("lambda1", "area", "willmore", "takahashi", "euler")
-
-
-def convergence_table(surface: CanonicalSurface, resolutions, quantity: str,
-                      tol: float = 1e-8, seed: int = 0) -> ConvergenceTable:
-    """Error and observed order of one quantity across refinements.
-
-    Orders are log error ratios scaled by the measured mesh-width ratio;
-    errors at machine-precision level report an exact (infinite) order.
-    """
-    if quantity not in _QUANTITIES:
-        raise ValueError("quantity must be one of %s" % (_QUANTITIES,))
-    if len(resolutions) < 3:
-        raise ValueError("need at least three resolutions")
-    n = surface.intrinsic_dim
-    errors, widths = [], []
-    for r in resolutions:
-        m = generate(surface, r)
-        ops = assemble(m)
-        stats = mesh_stats(m)
-        widths.append(stats.max_edge)
-        if quantity == "lambda1":
-            sp = solve_lowest(ops, 1, tol=tol, seed=seed)
-            errors.append(abs(float(sp.eigenvalues[0]) - n))
-        elif quantity == "area":
-            errors.append(abs(stats.total_area - canonical.exact_area(surface)))
-        elif quantity == "willmore":
-            target = 2.0 * math.pi ** 2 if surface.kind == "clifford" else 4.0 * math.pi
-            errors.append(abs(willmore_energy(m, ops) - target))
-        elif quantity == "takahashi":
-            worst = max(
-                takahashi_residual(ops, m.vertices[:, i], n)
-                for i in range(4)
-            )
-            errors.append(worst)
-        else:  # euler
-            target = 0 if surface.kind == "clifford" else 2
-            errors.append(float(abs(stats.euler_char - target)))
-    rows = [ConvergenceRow(resolutions[0], errors[0], None)]
-    for j in range(1, len(errors)):
-        rows.append(ConvergenceRow(
-            resolutions[j], errors[j],
-            observed_order(errors[j - 1:j + 1], widths[j - 1:j + 1]),
-        ))
-    monotone = all(e1 >= e2 - 1e-15 for e1, e2 in zip(errors, errors[1:]))
-    return ConvergenceTable(quantity, rows, monotone)
-
-
-class _SurfaceData:
-    """Per-resolution memo so each mesh, its stats, operator pair and solve
-    happen once."""
-
-    def __init__(self, surface, solver_tol, seed):
-        self.surface = surface
-        self.solver_tol = solver_tol
-        self.seed = seed
-        self._mesh = {}
-        self._ops = {}
-        self._stats = {}
-        self._spectrum = {}
-
-    def mesh(self, r):
-        if r not in self._mesh:
-            self._mesh[r] = generate(self.surface, r)
-        return self._mesh[r]
-
-    def ops(self, r):
-        if r not in self._ops:
-            self._ops[r] = assemble(self.mesh(r))
-        return self._ops[r]
-
-    def stats(self, r):
-        if r not in self._stats:
-            self._stats[r] = mesh_stats(self.mesh(r))
-        return self._stats[r]
-
-    def spectrum(self, r, k, deflate=True):
-        key = (r, k, deflate)
-        if key not in self._spectrum:
-            self._spectrum[key] = solve_lowest(
-                self.ops(r), k, tol=self.solver_tol,
-                deflate_constants=deflate, seed=self.seed,
-            )
-        return self._spectrum[key]
-
-    def coords(self, r):
-        mesh = self.mesh(r)
-        return [
-            (i, mesh.vertices[:, i])
-            for i in range(4)
-            if float(np.abs(mesh.vertices[:, i]).max()) > 1e-12
-        ]
+def _level(surface, r, solver_tol, seed) -> _Level:
+    mesh = generate(surface, r)
+    ops = assemble(mesh)
+    coords = tuple(
+        mesh.vertices[:, i] for i in range(4)
+        if float(np.abs(mesh.vertices[:, i]).max()) > 1e-12
+    )
+    return _Level(mesh, ops, mesh_stats(mesh),
+                  solve_lowest(ops, 6, tol=solver_tol, seed=seed), coords)
 
 
 def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
@@ -321,8 +233,6 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     betas = [float(b) for b in betas]
     n = surface.intrinsic_dim
     torus = surface.kind == "clifford"
-    data = _SurfaceData(surface, solver_tol, seed)
-    finest = resolutions[-1]
     checks = []
     wall = {}
     clock = time.perf_counter
@@ -330,21 +240,23 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     def add(check):
         # marginal cost accounting: each check is charged the time since
-        # the previous one, so shared solves land on their first consumer
+        # the previous one, so building the levels lands on the first check
         nonlocal mark
         checks.append(check)
         now = clock()
         wall[check.id] = now - mark
         mark = now
 
-    widths = [data.stats(r).max_edge for r in resolutions]
+    levels = [_level(surface, r, solver_tol, seed) for r in resolutions]
+    fine = levels[-1]
+    widths = [lv.stats.max_edge for lv in levels]
 
     # --- eigenvalues: value, cluster, order -------------------------------
     prefix = "C1" if torus else "C2"
     cluster_target = 4 if torus else 3
 
     def eigen_checks():
-        sp = data.spectrum(finest, 6)
+        sp = fine.spectrum
         lam1 = float(sp.eigenvalues[0])
         add(make_check(
             "%s-lambda1" % prefix,
@@ -365,8 +277,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
                 "worst relative deviation of eigenvalues 4-6 from the exact level 6",
                 dev, 0.0, 0.01 * tol, mode="absolute",
             ))
-        errs = [abs(float(data.spectrum(r, 6).eigenvalues[0]) - n)
-                for r in resolutions]
+        errs = [abs(float(lv.spectrum.eigenvalues[0]) - n) for lv in levels]
         add(make_check(
             "%s-order" % prefix,
             "observed convergence order of the lambda_1 error (second order expected;"
@@ -379,9 +290,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     # --- Takahashi identity ----------------------------------------------
     def takahashi_checks():
         worst = [
-            max(takahashi_residual(data.ops(r), vals, n)
-                for _, vals in data.coords(r))
-            for r in resolutions
+            max(takahashi_residual(lv.ops, vals, n) for vals in lv.coords)
+            for lv in levels
         ]
         add(make_check(
             "C3-residual",
@@ -401,10 +311,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- coordinate mean-zero ---------------------------------------------
     def mean_zero_check():
-        ops = data.ops(finest)
-        defect = max(
-            orthogonality_defect(ops, vals) for _, vals in data.coords(finest)
-        )
+        defect = max(orthogonality_defect(fine.ops, vals) for vals in fine.coords)
         add(make_check(
             "C4-mean-zero",
             "largest Cauchy-Schwarz-normalized defect |<1, x_i>_M| over the"
@@ -416,11 +323,10 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- beta sweep --------------------------------------------------------
     def sweep_checks():
-        mesh = data.mesh(finest)
-        ops = data.ops(finest)
+        mesh = fine.mesh
         base_point = np.array([0.0, 0.0]) if torus else np.array([1.0, 0.0, 0.0, 0.0])
         base = TruncationParams(1, base_point, betas[0])
-        records = sweep_beta(mesh, ops, base, betas)
+        records = sweep_beta(mesh, fine.ops, base, betas)
         add(make_check(
             "C5-limit",
             "projected Rayleigh quotient of u_beta at beta = %g against n" % betas[-1],
@@ -440,7 +346,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     # --- Willmore energy ---------------------------------------------------
     def willmore_check():
         target = 2.0 * math.pi ** 2 if torus else 4.0 * math.pi
-        value = willmore_energy(data.mesh(finest), data.ops(finest))
+        value = willmore_energy(fine.mesh, fine.ops)
         add(make_check(
             "C6-willmore",
             "Willmore energy integral (1 + H^2) at the finest resolution",
@@ -452,8 +358,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     # --- pointwise gradient identity ----------------------------------------
     def pointwise_checks():
         devs = [
-            float(np.max(np.abs(coordinate_gradient_identity(data.mesh(r)) - n)) / n)
-            for r in resolutions
+            float(np.max(np.abs(coordinate_gradient_identity(lv.mesh) - n)) / n)
+            for lv in levels
         ]
         add(make_check(
             "C7-identity",
@@ -474,7 +380,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- volume bound -------------------------------------------------------
     def volume_checks():
-        area = data.stats(finest).total_area
+        area = fine.stats.total_area
         add(volume_bound_check(surface, area, 0.01 * tol))
         vol_s1 = 2.0 * math.pi
         bound_1 = canonical.volume_lower_bound(1)
@@ -495,7 +401,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
         add(make_check(
             "euler",
             "Euler characteristic of the finest mesh",
-            float(data.stats(finest).euler_char), float(target_chi),
+            float(fine.stats.euler_char), float(target_chi),
             0.0, mode="absolute",
         ))
 
@@ -505,11 +411,11 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     def index_checks():
         a_sq = canonical.second_fundamental_norm_sq(surface)
         potential = n + a_sq
-        levels = [lam for lam, _ in canonical.exact_spectrum(surface, 6)]
+        exact = [lam for lam, _ in canonical.exact_spectrum(surface, 6)]
         target = 5 if torus else 1
         try:
-            idx = morse_index(data.ops(finest), potential, tol=solver_tol,
-                              oracle_levels=levels)
+            idx = morse_index(fine.ops, potential, tol=solver_tol,
+                              oracle_levels=exact)
             add(make_check(
                 "C9-index",
                 "eigenvalue count below the stability potential n + |A|^2 = %g"
@@ -522,7 +428,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
                 "index could not be classified: %s" % exc,
                 -1.0, float(target), 0.0, mode="absolute", passed=False,
             ))
-        lam1 = float(data.spectrum(finest, 6).eigenvalues[0])
+        lam1 = float(fine.spectrum.eigenvalues[0])
         add(make_check(
             "C9-combination",
             "alternative stability combination lambda_1 + |A|^2 + n"
@@ -534,20 +440,19 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     # --- two-eigenvalue average ----------------------------------------------
     def conjecture_checks():
-        area = data.stats(finest).total_area
-        add(conjecture_check(surface, data.spectrum(finest, 6), area, 0.01 * tol))
+        add(conjecture_check(surface, fine.spectrum, fine.stats.total_area,
+                             0.01 * tol))
 
     conjecture_checks()
 
     # --- integrated identity ---------------------------------------------------
     def integrated_checks():
         gaps = []
-        for r in resolutions:
-            ops = data.ops(r)
+        for lv in levels:
             worst = 0.0
-            for _, vals in data.coords(r):
-                num = float(vals @ (ops.stiffness @ vals))
-                den = float(n * (vals @ (ops.mass @ vals)))
+            for vals in lv.coords:
+                num = float(vals @ (lv.ops.stiffness @ vals))
+                den = float(n * (vals @ (lv.ops.mass @ vals)))
                 worst = max(worst, abs(num - den) / den)
             gaps.append(worst)
         add(make_check(
@@ -623,10 +528,3 @@ def report_csv(report: VerificationReport) -> str:
                          c.description, c.claim])
     return buf.getvalue()
 
-
-def write_report(report: VerificationReport, path, csv_path=None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_report(report))
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(report_csv(report))

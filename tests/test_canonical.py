@@ -12,7 +12,6 @@ from eigenmin.canonical import (
     embed,
     equatorial_sphere,
     exact_area,
-    exact_eigenvalue_list,
     exact_spectrum,
     geodesic_distance,
     reduce_angle,
@@ -54,11 +53,6 @@ def test_exact_spectrum_sphere():
     assert exact_spectrum(equatorial_sphere(3), 3) == [(0.0, 1), (3.0, 4), (8.0, 9)]
     with pytest.raises(ValueError):
         exact_spectrum(SPHERE, 0)
-
-
-def test_eigenvalue_list_expands_multiplicities():
-    assert exact_eigenvalue_list(TORUS, 6) == [2.0, 2.0, 2.0, 2.0, 4.0, 4.0]
-    assert exact_eigenvalue_list(SPHERE, 4) == [2.0, 2.0, 2.0, 6.0]
 
 
 def test_exact_area_and_second_fundamental():

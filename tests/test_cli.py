@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenmin import cli, mesh
+from eigenmin import canonical, cli, mesh, verify
 from eigenmin.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -161,8 +161,9 @@ def test_verify_sphere_passes(tmp_path, capsys):
     assert "FAIL" not in captured.out
     assert captured.out.count("ok  ") >= 20
     assert "time " in captured.err
-    assert report_path.read_text().startswith("EIGENMIN-REPORT 1")
-    assert csv_path.read_text().startswith("id,mode,")
+    report = verify.run_all(canonical.equatorial_sphere(2), resolutions=[2, 3, 4])
+    assert report_path.read_bytes() == verify.render_report(report).encode("ascii")
+    assert csv_path.read_bytes() == verify.report_csv(report).encode("ascii")
 
 
 def test_verify_zero_tolerance_fails(capsys):

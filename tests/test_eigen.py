@@ -10,7 +10,6 @@ from eigenmin.eigen import (
     IndeterminateIndex,
     NonConvergence,
     SolverError,
-    eigen_convergence_order,
     morse_index,
     observed_order,
     solve_lowest,
@@ -155,21 +154,6 @@ def test_observed_order():
     assert observed_order([1e-15, 1e-16], [0.2, 0.1]) == float("inf")
     with pytest.raises(ValueError):
         observed_order([1.0], [0.1])
-
-
-def test_eigen_convergence_order_torus():
-    est = eigen_convergence_order(canonical.clifford_torus(), [16, 32, 64], 2)
-    assert len(est) == 2
-    for item in est:
-        assert not item.ambiguous
-        assert 1.7 <= item.order <= 2.3
-
-
-def test_eigen_convergence_order_sphere():
-    est = eigen_convergence_order(canonical.equatorial_sphere(2), [2, 3, 4], 1)
-    assert len(est) == 1
-    assert not est[0].ambiguous
-    assert 1.7 <= est[0].order <= 2.3
 
 
 def test_morse_index_torus(ops64):

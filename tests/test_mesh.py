@@ -1,4 +1,4 @@
-"""Tests for mesh generation, validation, refinement, and serialization."""
+"""Tests for mesh generation, validation, and serialization."""
 
 import hashlib
 import math
@@ -15,7 +15,6 @@ from eigenmin.mesh import (
     generate_torus,
     mesh_stats,
     read_mesh,
-    refine,
     validate,
     write_mesh,
 )
@@ -84,30 +83,6 @@ def test_generate_dispatch():
     assert s.vertex_count == 42
     with pytest.raises(MeshError):
         generate(canonical.equatorial_sphere(3), 1)
-
-
-def test_refine_sphere_matches_direct_generation(sphere2):
-    fine = refine(sphere2)
-    direct = generate_sphere(3)
-    assert np.array_equal(fine.faces, direct.faces)
-    assert np.array_equal(fine.vertices, direct.vertices)
-
-
-def test_refine_torus_valid(torus16):
-    fine = refine(torus16)
-    validate(fine)
-    # Midpoint split: V' = V + E, F' = 4F.
-    assert fine.face_count == 4 * torus16.face_count
-    assert fine.vertex_count == torus16.vertex_count + (3 * torus16.face_count) // 2
-    assert mesh_stats(fine).euler_char == 0
-    norms = np.linalg.norm(fine.vertices, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-14
-
-
-def test_refine_requires_surface_tag(torus16):
-    bare = TriMesh(torus16.vertices, torus16.faces)
-    with pytest.raises(MeshError):
-        refine(bare)
 
 
 def test_validate_rejects_open_mesh(torus16):
@@ -313,7 +288,7 @@ def test_validate_matches_loop_reference(name, request):
 
 
 def test_validate_matches_loop_reference_on_valid_meshes(torus16, sphere2):
-    for m in (torus16, sphere2, refine(torus16)):
+    for m in (torus16, sphere2, generate_torus(17)):
         assert _outcome(validate, m) is None
         assert _outcome(_validate_reference, m) is None
     wrong_tag = TriMesh(sphere2.vertices, sphere2.faces, canonical.clifford_torus())
@@ -340,8 +315,6 @@ def test_split_edges_matches_loop_reference(name, request):
     assert faces.dtype == ref_faces.dtype
     assert np.array_equal(faces, ref_faces)
     assert np.array_equal(verts, ref_verts)
-    fine = refine(m)
-    assert np.array_equal(fine.faces, ref_faces)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from eigenmin.verify import (
     DEFAULT_RESOLUTIONS,
     REPORT_VERSION,
     conjecture_check,
-    convergence_table,
     make_check,
     render_report,
     report_csv,
     run_all,
     volume_bound_check,
-    write_report,
 )
 
 TORUS = canonical.clifford_torus()
@@ -90,36 +88,6 @@ def test_volume_bound_check_patterns():
     # Violating the bound outright fails too.
     fake3 = volume_bound_check(SPHERE, 0.9 * 4.0 * math.pi)
     assert not fake3.passed
-
-
-def test_convergence_table_lambda1():
-    table = convergence_table(TORUS, [8, 12, 16], "lambda1")
-    assert table.quantity == "lambda1"
-    assert len(table.rows) == 3
-    errs = [r.error for r in table.rows]
-    assert errs[0] > errs[1] > errs[2] > 0.0
-    assert table.monotone
-    assert table.rows[0].order is None
-    for row in table.rows[1:]:
-        assert 1.5 <= row.order <= 2.5
-    with pytest.raises(ValueError):
-        convergence_table(TORUS, [8, 16], "lambda1")
-    with pytest.raises(ValueError):
-        convergence_table(TORUS, [8, 12, 16], "frobnication")
-
-
-def test_convergence_table_euler_exact():
-    table = convergence_table(TORUS, [8, 12, 16], "euler")
-    assert all(r.error == 0.0 for r in table.rows)
-    assert all(r.order == float("inf") for r in table.rows[1:])
-    assert table.monotone
-
-
-def test_convergence_table_area_monotone():
-    table = convergence_table(SPHERE, [1, 2, 3], "area")
-    assert table.monotone
-    for row in table.rows[1:]:
-        assert 1.5 <= row.order <= 2.5
 
 
 def test_run_all_requires_two_resolutions():
@@ -206,15 +174,6 @@ def test_report_csv_parses(sphere_report):
         float(row[3])
         float(row[4])
         assert row[5] in ("true", "false")
-
-
-def test_write_report(tmp_path, sphere_report):
-    report, _ = sphere_report
-    out = tmp_path / "report.txt"
-    csv_path = tmp_path / "report.csv"
-    write_report(report, out, csv_path)
-    assert out.read_text() == render_report(report)
-    assert csv_path.read_text() == report_csv(report)
 
 
 def test_run_all_sphere_small_structure():
