@@ -12,6 +12,9 @@ A config file given with --config holds one 'key = value' pair per line
 from __future__ import annotations
 
 import argparse
+import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -34,6 +37,7 @@ from .mesh import (
 )
 from .trial import (
     TruncationParams,
+    _profile_columns,
     build_truncation,
     orthogonality_defect,
     sweep_beta,
@@ -227,8 +231,8 @@ def cmd_sweep(args):
         raise UsageError("sweep needs a canonical mesh (unrecognized vertices)")
     surface = mesh.surface
     betas = _parse_floats(args.betas, "--betas")
-    if any(b <= 0 for b in betas):
-        raise UsageError("--betas: values must be positive")
+    if not all(math.isfinite(b) and b > 0 for b in betas):
+        raise UsageError("--betas: beta must be finite and positive")
     unique = sorted(set(betas))
     if len(unique) != len(betas):
         print("warning: duplicate beta values removed", file=sys.stderr)
@@ -245,23 +249,92 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _write_profiles(path, mesh, coord, p0, betas):
-    """Stream the decay profiles one beta block at a time.
+# Profile files with fewer rows (vertices x betas) than this are formatted in
+# this process: forking the workers and returning their chunks costs more
+# than it saves.  Median times of 11-beta profiles on 2 vCPUs, pooled against
+# inline: torus 64 (45k rows) 0.21 s / 0.18 s, torus 96 (101k) 0.37 s /
+# 0.38 s, torus 128 (180k) 0.52 s / 0.66 s, torus 256 (721k) 1.34 s / 2.06 s.
+_PROFILE_POOL_ROWS = 100_000
 
-    Distance and x_i do not depend on beta, so their strings are made once;
-    each block formats only its phi_beta, u_beta and abs_error columns.
+# Row slices per beta.  Small chunks keep the parent's queue of formatted
+# results, and with it its peak memory, small.
+_PROFILE_SLICES = 8
+
+# Set by the pool initializer in a forked worker only; the parent never
+# holds it.
+_worker_state = None
+
+
+def _profile_rows(state, job):
+    """The profile rows of one (beta, start, stop) job, formatted.
+
+    ``state`` holds the distance-sorted distance and x_i columns and their
+    ``repr`` strings; only the beta-dependent columns are computed here.
     """
+    d, x, fixed = state
+    beta, start, stop = job
+    columns = np.stack(_profile_columns(beta, d[start:stop], x[start:stop]), axis=1)
+    cells = np.empty((stop - start, 5), dtype=object)
+    cells[:, [0, 3]] = fixed[start:stop]
+    cells[:, [1, 2, 4]] = repr_floats(columns).reshape(-1, 3)
+    row = repr(beta) + ",%s,%s,%s,%s,%s\n"
+    return (row * (stop - start)) % tuple(cells.ravel().tolist())
+
+
+def _init_profile_worker(state):
+    global _worker_state
+    _worker_state = state
+
+
+def _pooled_profile_rows(job):
+    return _profile_rows(_worker_state, job)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _profile_workers(jobs, rows):
+    """Worker processes for the profile writer; 1 formats in this process."""
+    if rows < _PROFILE_POOL_ROWS or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(_usable_cpus(), jobs)
+
+
+def _write_profiles(path, mesh, coord, p0, betas):
+    """Write the decay profiles, one block of distance-sorted rows per beta.
+
+    Distance, x_i and their strings are made once per sweep.  Each block is
+    cut into row slices that format independently; above a size threshold a
+    fork pool formats them and ``imap`` returns them in order, so the bytes
+    do not depend on the number of workers.  The workers inherit the columns
+    through fork instead of receiving them per task; a spawned worker would
+    import the package again and need them pickled.  They run elementwise
+    numpy and ``repr`` only, no BLAS.
+    """
+    block = truncation_profile(mesh, TruncationParams(coord, p0, betas[0]))
+    # contiguous columns, so every slice takes the same numpy loops as the whole
+    state = (block[:, 0].copy(), block[:, 3].copy(),
+             repr_floats(block[:, [0, 3]]).reshape(-1, 2))
+    n = len(block)
+    edges = [n * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
+    jobs = [(beta, start, stop) for beta in betas
+            for start, stop in zip(edges, edges[1:]) if start < stop]
+    workers = _profile_workers(len(jobs), n * len(betas))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("beta,distance,phi_beta,u_beta,x_i,abs_error\n")
-        cells = None
-        for beta in betas:
-            block = truncation_profile(mesh, TruncationParams(coord, p0, beta))
-            if cells is None:
-                cells = np.empty(block.shape, dtype=object)
-                cells[:, [0, 3]] = repr_floats(block[:, [0, 3]]).reshape(-1, 2)
-            cells[:, [1, 2, 4]] = repr_floats(block[:, [1, 2, 4]]).reshape(-1, 3)
-            row = repr(beta) + ",%s,%s,%s,%s,%s\n"
-            fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
+        if workers == 1:
+            fh.writelines(_profile_rows(state, job) for job in jobs)
+            return
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, _init_profile_worker, (state,))
+        with pool:
+            fh.writelines(pool.imap(_pooled_profile_rows, jobs))
+            pool.close()
+            pool.join()
 
 
 def cmd_verify(args):

@@ -53,8 +53,8 @@ class TruncationParams:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
         if self.coord_index < 1:
             raise ValueError("coord_index is 1-based and must be positive")
         object.__setattr__(
@@ -79,9 +79,24 @@ def _check_coord(surface: CanonicalSurface, index: int) -> None:
         )
 
 
-def _truncation_factor(beta: float, d: np.ndarray) -> np.ndarray:
+def _decay(beta: float, d: np.ndarray) -> np.ndarray:
+    """phi_beta = exp(-beta d^2) / beta."""
     with np.errstate(under="ignore"):
-        return 1.0 - np.exp(-beta * d * d) / beta
+        return np.exp(-beta * d * d) / beta
+
+
+def _truncation_factor(beta: float, d: np.ndarray) -> np.ndarray:
+    return 1.0 - _decay(beta, d)
+
+
+def _profile_columns(beta: float, d: np.ndarray, x: np.ndarray):
+    """The beta-dependent profile columns phi_beta, u_beta and |u_beta - x_i|.
+
+    Elementwise, so a slice of d and x gives the same bits as the whole.
+    """
+    phi = _decay(beta, d)
+    u = x * (1.0 - phi)
+    return phi, u, np.abs(u - x)
 
 
 def _base_distance(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
@@ -197,8 +212,8 @@ def sweep_beta(mesh: TriMesh, ops: FemOperators, base: TruncationParams,
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("at least one beta value is required")
-    if any(b <= 0 for b in betas):
-        raise ValueError("betas must be positive")
+    if not all(math.isfinite(b) and b > 0 for b in betas):
+        raise ValueError("beta must be finite and positive")
     if any(b1 >= b2 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly ascending")
     d = _base_distance(mesh, base)
@@ -246,9 +261,8 @@ def truncation_profile(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     d = np.asarray(
         geodesic_distance(mesh.surface, mesh.param_coords, params.base_point)
     )
-    x = mesh.vertices[:, params.coord_index - 1]
-    with np.errstate(under="ignore"):
-        phi = np.exp(-params.beta * d * d) / params.beta
-    u = x * _truncation_factor(params.beta, d)
     order = np.lexsort((np.arange(len(d)), d))
-    return np.stack([d, phi, u, x, np.abs(u - x)], axis=1)[order]
+    d = d[order]
+    x = mesh.vertices[order, params.coord_index - 1]
+    phi, u, err = _profile_columns(params.beta, d, x)
+    return np.stack([d, phi, u, x, err], axis=1)

@@ -1,10 +1,11 @@
 """Shared fixtures. Expensive meshes, operators, and spectra are built once per session."""
 
+import multiprocessing
 import time
 
 import pytest
 
-from eigenmin import canonical, eigen, fem, mesh, verify
+from eigenmin import canonical, cli, eigen, fem, mesh, verify
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +81,12 @@ def sphere_report():
     t0 = time.perf_counter()
     report = verify.run_all(canonical.equatorial_sphere(2))
     return report, time.perf_counter() - t0
+
+
+@pytest.fixture
+def pooled_profiles(monkeypatch):
+    """Make `sweep --profiles` format on a two-worker fork pool at any size."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is not available")
+    monkeypatch.setattr(cli, "_PROFILE_POOL_ROWS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)

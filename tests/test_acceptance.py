@@ -8,10 +8,9 @@ verification runs shared across the session.
 import math
 
 import numpy as np
-import pytest
 import scipy.linalg
 
-from eigenmin import canonical, eigen, fem, mesh, trial, verify
+from eigenmin import canonical, fem, mesh, trial, verify
 
 TORUS = canonical.clifford_torus()
 SPHERE = canonical.equatorial_sphere(2)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from eigenmin import canonical
 from eigenmin.canonical import (
     CanonicalSurface,
     clifford_torus,

@@ -1,5 +1,9 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import multiprocessing
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,3 +278,55 @@ def test_nonconvergence_exit_code(monkeypatch, capsys):
     rc = main(["spectrum", "--surface", "clifford", "--resolution", "8"])
     assert rc == EXIT_SOLVER
     assert "residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--surface", "clifford", "--resolution", "8", "--betas", "1,nan"],
+    ["sweep", "--surface", "clifford", "--resolution", "8", "--betas", "inf"],
+    ["rayleigh", "--surface", "clifford", "--resolution", "8", "--beta", "nan"],
+    ["rayleigh", "--surface", "clifford", "--resolution", "8", "--beta", "inf"],
+    ["verify", "--surface", "clifford", "--resolutions", "8,16", "--betas", "1,nan"],
+])
+def test_non_finite_beta_rejected(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "beta must be finite and positive" in err
+    assert "Warning" not in err
+
+
+def _profiles_argv(tmp_path, name):
+    return ["sweep", "--surface", "clifford", "--resolution", "64", "--coord", "2",
+            "--p0", "0.3,1.7", "--betas", "1,2,4,8,16,32,64,128,256,512,1024",
+            "--out", str(tmp_path / "sweep.csv"),
+            "--profiles", str(tmp_path / name)]
+
+
+def test_sweep_profiles_pooled_equals_inline(tmp_path, monkeypatch, pooled_profiles):
+    assert main(_profiles_argv(tmp_path, "pooled.csv")) == EXIT_OK
+    monkeypatch.setattr(cli, "_PROFILE_POOL_ROWS", 10 ** 12)
+    assert main(_profiles_argv(tmp_path, "inline.csv")) == EXIT_OK
+    inline = (tmp_path / "inline.csv").read_bytes()
+    assert len(inline.splitlines()) == 1 + 11 * 64 * 64
+    assert (tmp_path / "pooled.csv").read_bytes() == inline
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
+                                            pooled_profiles):
+    parent = os.getpid()
+    real = cli.repr_floats
+
+    def fail_in_worker(values):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed in worker %d" % os.getpid())
+        return real(values)
+
+    monkeypatch.setattr(cli, "repr_floats", fail_in_worker)
+    assert main(_profiles_argv(tmp_path, "p.csv")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: formatting failed in worker" in err
+    assert "worker %d" % parent not in err
+    assert multiprocessing.active_children() == []

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from eigenmin import canonical, eigen, fem, mesh
+from eigenmin import canonical, eigen
 from eigenmin.eigen import (
     IndeterminateIndex,
     NonConvergence,

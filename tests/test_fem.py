@@ -7,9 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from eigenmin import canonical, fem, mesh
+from eigenmin import fem, mesh
 from eigenmin.fem import (
-    FemOperators,
     NodalFunction,
     assemble,
     coordinate_function,

@@ -348,14 +348,24 @@ def test_write_mesh_golden_bytes(name, request, tmp_path):
     assert _sha256(path) == GOLDEN_SMESH[name]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
-def test_sweep_profiles_golden_bytes(name, tmp_path):
-    argv, digest = GOLDEN_PROFILES[name]
+def _profiles_sha256(argv, tmp_path):
     profiles = tmp_path / "profiles.csv"
     rc = cli.main(["sweep"] + argv + ["--out", str(tmp_path / "sweep.csv"),
                                       "--profiles", str(profiles)])
     assert rc == 0
-    assert _sha256(profiles) == digest
+    return _sha256(profiles)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+def test_sweep_profiles_golden_bytes(name, tmp_path):
+    argv, digest = GOLDEN_PROFILES[name]
+    assert _profiles_sha256(argv, tmp_path) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
+def test_sweep_profiles_golden_bytes_pooled(name, tmp_path, pooled_profiles):
+    argv, digest = GOLDEN_PROFILES[name]
+    assert _profiles_sha256(argv, tmp_path) == digest
 
 
 def test_repr_floats_matches_repr():

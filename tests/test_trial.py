@@ -1,12 +1,11 @@
 """Tests for truncated coordinate trial functions and the beta sweep."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
-from eigenmin import canonical, fem, mesh, trial
+from eigenmin import canonical
 from eigenmin.trial import (
     SWEEP_HEADER,
     TruncationParams,
@@ -33,6 +32,9 @@ def test_params_validation():
         _params(beta=-2.0)
     with pytest.raises(ValueError):
         _params(coord=0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _params(beta=beta)
 
 
 def test_truncation_value_worked_example(torus64):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenmin import canonical, eigen, fem, mesh, verify
+from eigenmin import canonical, eigen, verify
 from eigenmin.verify import (
     CLAIMS,
     DEFAULT_BETAS,
