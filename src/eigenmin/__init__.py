@@ -36,7 +36,7 @@ from .canonical import (  # noqa: E402
     geodesic_distance,
 )
 from .eigen import Spectrum, morse_index, solve_lowest  # noqa: E402
-from .fem import FemOperators, NodalFunction, assemble  # noqa: E402
+from .fem import FemOperators, assemble  # noqa: E402
 from .mesh import TriMesh, generate, read_mesh, write_mesh  # noqa: E402
 from .trial import TruncationParams, build_truncation, sweep_beta  # noqa: E402
 from .verify import VerificationReport, render_report, run_all  # noqa: E402
@@ -54,7 +54,6 @@ __all__ = [
     "morse_index",
     "solve_lowest",
     "FemOperators",
-    "NodalFunction",
     "assemble",
     "TriMesh",
     "generate",

@@ -31,7 +31,6 @@ __all__ = [
     "NonConvergence",
     "IndeterminateIndex",
     "solve_lowest",
-    "observed_order",
     "morse_index",
 ]
 
@@ -205,24 +204,6 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
         raise ValueError("k must satisfy k < dim/4 for large problems")
     return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed,
                                maxiter)
-
-
-def observed_order(errors, widths):
-    """Log-ratio order from the two finest levels; inf when both are exact.
-
-    ``widths`` are the matching mesh widths (max edge lengths), so the
-    estimate does not assume exact halving between levels.
-    """
-    if len(errors) < 2 or len(widths) < 2:
-        raise ValueError("order estimation needs at least two levels")
-    if len(errors) != len(widths):
-        raise ValueError("errors and widths must have matching lengths")
-    e0, e1 = errors[-2], errors[-1]
-    if e0 <= 1e-12 and e1 <= 1e-12:
-        return float("inf")
-    if e1 <= 0 or e0 <= 0:
-        return float("inf") if e1 <= 1e-12 else 0.0
-    return float(np.log(e0 / e1) / np.log(widths[-2] / widths[-1]))
 
 
 def _count_below(S, M, shift):

@@ -5,8 +5,8 @@ embedded geometry; mass is the consistent P1 matrix (A/6 diagonal, A/12
 off-diagonal contributions per face).  The lumped mass vector is the row
 sum of the consistent matrix and is used wherever an inverse is needed.
 
-All quadratic-form helpers accept either a plain value array of length
-``vertex_count`` or a :class:`NodalFunction`.
+All quadratic-form helpers take a plain value array of length
+``vertex_count``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .mesh import MeshError, TriMesh, face_areas
 
 __all__ = [
     "FemOperators",
-    "NodalFunction",
     "assemble",
     "coordinate_function",
     "rayleigh",
@@ -41,23 +40,6 @@ _ZERO_NORM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class NodalFunction:
-    """Vertex-sampled scalar function on a fixed mesh."""
-
-    values: np.ndarray
-    mesh: TriMesh
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.mesh.vertex_count,):
-            raise ValueError(
-                "values must have one entry per vertex, got shape %r for %d vertices"
-                % (values.shape, self.mesh.vertex_count)
-            )
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class FemOperators:
     """Assembled stiffness/mass pair for one mesh."""
 
@@ -68,10 +50,7 @@ class FemOperators:
 
 
 def _values(u, dim=None):
-    if isinstance(u, NodalFunction):
-        v = u.values
-    else:
-        v = np.asarray(u, dtype=float)
+    v = np.asarray(u, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a one-dimensional nodal value array")
     if dim is not None and v.shape[0] != dim:
@@ -148,11 +127,11 @@ def assemble(mesh: TriMesh) -> FemOperators:
     return FemOperators(stiffness=stiffness, mass=mass, mass_lumped=lumped, dim=nv)
 
 
-def coordinate_function(mesh: TriMesh, index: int) -> NodalFunction:
+def coordinate_function(mesh: TriMesh, index: int) -> np.ndarray:
     """Restriction of the ambient coordinate ``index`` (1-based) to the mesh."""
     if not 1 <= index <= mesh.vertices.shape[1]:
         raise ValueError("coordinate index must be in 1..%d" % mesh.vertices.shape[1])
-    return NodalFunction(mesh.vertices[:, index - 1].copy(), mesh)
+    return mesh.vertices[:, index - 1].copy()
 
 
 def rayleigh(ops: FemOperators, u) -> float:
@@ -170,10 +149,7 @@ def project_mean_zero(ops: FemOperators, u):
     v = _values(u, ops.dim)
     ones = np.ones(ops.dim)
     shift = float(ones @ (ops.mass @ v)) / float(ones @ (ops.mass @ ones))
-    w = v - shift
-    if isinstance(u, NodalFunction):
-        return NodalFunction(w, u.mesh)
-    return w
+    return v - shift
 
 
 def _face_normals(mesh):

@@ -20,12 +20,7 @@ from .canonical import (
     geodesic_distance,
     torus_angle_deltas,
 )
-from .fem import (
-    FemOperators,
-    NodalFunction,
-    project_mean_zero,
-    rayleigh,
-)
+from .fem import FemOperators, _values, project_mean_zero, rayleigh
 from .mesh import TriMesh
 
 __all__ = [
@@ -109,11 +104,11 @@ def _base_distance(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     )
 
 
-def build_truncation(mesh: TriMesh, params: TruncationParams) -> NodalFunction:
+def build_truncation(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     """Sample u_beta at every vertex of a canonical mesh."""
     d = _base_distance(mesh, params)
     x = mesh.vertices[:, params.coord_index - 1]
-    return NodalFunction(x * _truncation_factor(params.beta, d), mesh)
+    return x * _truncation_factor(params.beta, d)
 
 
 def _torus_gradient_sq(params: TruncationParams, p: np.ndarray) -> float:
@@ -193,13 +188,26 @@ def truncation_gradient_sq(surface: CanonicalSurface, params: TruncationParams,
 
 def orthogonality_defect(ops: FemOperators, u) -> float:
     """|<1, u>_M| normalized by Cauchy-Schwarz, so the result lies in [0, 1]."""
-    values = u.values if isinstance(u, NodalFunction) else np.asarray(u, dtype=float)
+    values = _values(u, ops.dim)
     ones = np.ones(ops.dim)
     mu = ops.mass @ values
     unorm_sq = float(values @ mu)
     if unorm_sq <= 1e-14 * max(float(values @ values), 1.0):
         raise ValueError("orthogonality defect of a numerically zero function")
     return float(abs(ones @ mu) / math.sqrt(float(ones @ (ops.mass @ ones)) * unorm_sq))
+
+
+def _check_betas(betas) -> list:
+    """The betas as floats, once they are known to be non-empty, finite,
+    positive and strictly ascending."""
+    betas = [float(b) for b in betas]
+    if not betas:
+        raise ValueError("at least one beta value is required")
+    if not all(math.isfinite(b) and b > 0 for b in betas):
+        raise ValueError("beta must be finite and positive")
+    if any(b1 >= b2 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError("betas must be strictly ascending")
+    return betas
 
 
 def sweep_beta(mesh: TriMesh, ops: FemOperators, base: TruncationParams,
@@ -209,13 +217,7 @@ def sweep_beta(mesh: TriMesh, ops: FemOperators, base: TruncationParams,
         raise ValueError(
             "coord_index must be in 1..%d" % mesh.vertices.shape[1]
         )
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("at least one beta value is required")
-    if not all(math.isfinite(b) and b > 0 for b in betas):
-        raise ValueError("beta must be finite and positive")
-    if any(b1 >= b2 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be strictly ascending")
+    betas = _check_betas(betas)
     d = _base_distance(mesh, base)
     x = mesh.vertices[:, base.coord_index - 1]
     sup_x = float(np.abs(x).max())

@@ -165,6 +165,7 @@ def test_verify_sphere_passes(tmp_path, capsys):
     assert "FAIL" not in captured.out
     assert captured.out.count("ok  ") >= 20
     assert "time " in captured.err
+    assert "time levels " in captured.err
     report = verify.run_all(canonical.equatorial_sphere(2), resolutions=[2, 3, 4])
     assert report_path.read_bytes() == verify.render_report(report).encode("ascii")
     assert csv_path.read_bytes() == verify.report_csv(report).encode("ascii")
@@ -295,6 +296,25 @@ def test_non_finite_beta_rejected(argv, capsys):
     err = capsys.readouterr().err
     assert "beta must be finite and positive" in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("betas, message", [
+    ("4,1", "betas must be strictly ascending"),
+    ("1,nan", "beta must be finite and positive"),
+    ("inf", "beta must be finite and positive"),
+    ("2,2", "betas must be strictly ascending"),
+    (",", "at least one beta value is required"),
+])
+def test_verify_checks_betas_before_building_levels(monkeypatch, capsys,
+                                                     betas, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level was built before --betas was checked")
+
+    monkeypatch.setattr(verify, "generate", unreachable)
+    monkeypatch.setattr(verify, "solve_lowest", unreachable)
+    rc = main(["verify", "--surface", "sphere", "--betas", betas])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def _profiles_argv(tmp_path, name):

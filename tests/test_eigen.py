@@ -11,7 +11,6 @@ from eigenmin.eigen import (
     NonConvergence,
     SolverError,
     morse_index,
-    observed_order,
     solve_lowest,
 )
 
@@ -145,15 +144,6 @@ def test_nonconvergence_carries_best_spectrum(ops64):
     assert err.spectrum.eigenvectors.shape == (ops64.dim, err.spectrum.eigenvalues.size)
     assert np.all(err.spectrum.residuals <= err.spectrum.tolerance)
     assert "converged" in str(err)
-
-
-def test_observed_order():
-    widths = [0.4, 0.2, 0.1]
-    errors = [1.6e-2, 4.0e-3, 1.0e-3]
-    assert observed_order(errors, widths) == pytest.approx(2.0, abs=1e-12)
-    assert observed_order([1e-15, 1e-16], [0.2, 0.1]) == float("inf")
-    with pytest.raises(ValueError):
-        observed_order([1.0], [0.1])
 
 
 def test_morse_index_torus(ops64):

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from eigenmin import fem, mesh
 from eigenmin.fem import (
-    NodalFunction,
     assemble,
     coordinate_function,
     coordinate_gradient_identity,
@@ -129,8 +128,8 @@ def test_assemble_rejects_degenerate_face(torus16):
 
 def test_coordinate_function(torus16):
     x2 = coordinate_function(torus16, 2)
-    assert isinstance(x2, NodalFunction)
-    assert np.array_equal(x2.values, torus16.vertices[:, 1])
+    assert isinstance(x2, np.ndarray)
+    assert np.array_equal(x2, torus16.vertices[:, 1])
     with pytest.raises(ValueError):
         coordinate_function(torus16, 0)
     with pytest.raises(ValueError):
@@ -147,16 +146,16 @@ def test_rayleigh_basics(ops16, torus16):
 
 
 def test_project_mean_zero(ops64, torus64):
-    u = coordinate_function(torus64, 1).values + 3.5
+    u = coordinate_function(torus64, 1) + 3.5
     w = project_mean_zero(ops64, u)
     ones = np.ones(ops64.dim)
     mean = float(ones @ (ops64.mass @ w))
     assert abs(mean) < 1e-12
     again = project_mean_zero(ops64, w)
     assert np.max(np.abs(again - w)) < 1e-14
-    # NodalFunction in, NodalFunction out.
-    nf = project_mean_zero(ops64, coordinate_function(torus64, 1))
-    assert isinstance(nf, NodalFunction)
+    # Array in, array out.
+    w1 = project_mean_zero(ops64, coordinate_function(torus64, 1))
+    assert isinstance(w1, np.ndarray)
 
 
 def test_energy_matches_face_gradients(ops32, torus32):
@@ -252,7 +251,7 @@ def test_takahashi_residual_shrinks_under_refinement():
 
 
 def test_nodal_function_validation(torus16):
-    with pytest.raises(ValueError):
-        NodalFunction(np.zeros(torus16.vertex_count - 1), torus16)
+    with pytest.raises(ValueError, match="nodal array has length"):
+        fem.rayleigh(assemble(torus16), np.ones(torus16.vertex_count - 1))
     with pytest.raises(ValueError):
         fem.rayleigh(assemble(torus16), np.full(torus16.vertex_count, np.nan))

@@ -47,22 +47,22 @@ def test_truncation_value_worked_example(torus64):
         )
     )
     exact = (-1.0 / math.sqrt(2.0)) * (1.0 - math.exp(-math.pi**2))
-    assert u.values[j] == pytest.approx(exact, rel=1e-14)
-    assert u.values[j] == pytest.approx(-0.7070702073708381, rel=1e-12)
+    assert u[j] == pytest.approx(exact, rel=1e-14)
+    assert u[j] == pytest.approx(-0.7070702073708381, rel=1e-12)
 
 
 def test_truncation_vanishes_at_base(torus64):
     # phi(0) = 1 - 1/beta, so u(p0) = x(p0) (1 - 1/beta); with beta = 1 it is 0.
     u = build_truncation(torus64, _params(beta=1.0))
     j = int(np.argmin(np.linalg.norm(torus64.param_coords, axis=1)))
-    assert u.values[j] == pytest.approx(0.0, abs=1e-15)
+    assert u[j] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_truncation_approaches_coordinate(torus64):
     # For huge beta the perturbation term underflows away from the base point.
     u = build_truncation(torus64, _params(beta=1e9))
     x = torus64.vertices[:, 0]
-    assert np.max(np.abs(u.values - x)) <= 1.0 / math.sqrt(2.0) / 1e9 + 1e-300
+    assert np.max(np.abs(u - x)) <= 1.0 / math.sqrt(2.0) / 1e9 + 1e-300
 
 
 def test_gradient_cut_locus_rejected():
@@ -141,6 +141,10 @@ def test_orthogonality_defect(ops64, torus64):
     assert orthogonality_defect(ops64, ones) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         orthogonality_defect(ops64, np.zeros(ops64.dim))
+    with pytest.raises(ValueError, match="nodal array has length"):
+        orthogonality_defect(ops64, x1[:-1])
+    with pytest.raises(ValueError, match="non-finite"):
+        orthogonality_defect(ops64, np.full(ops64.dim, np.nan))
     u4 = build_truncation(torus64, _params(beta=4.0))
     assert orthogonality_defect(ops64, u4) == pytest.approx(0.0126135679427, rel=1e-9)
 
@@ -221,4 +225,4 @@ def test_profile_rows_sorted_and_consistent(torus16):
                                                params.base_point))
     order = np.lexsort((np.arange(torus16.vertex_count), d))
     assert np.array_equal(rows[:, 0], d[order])
-    assert np.array_equal(rows[:, 2], build_truncation(torus16, params).values[order])
+    assert np.array_equal(rows[:, 2], build_truncation(torus16, params)[order])

@@ -15,6 +15,7 @@ from eigenmin.verify import (
     REPORT_VERSION,
     conjecture_check,
     make_check,
+    observed_order,
     render_report,
     report_csv,
     run_all,
@@ -90,6 +91,15 @@ def test_volume_bound_check_patterns():
     assert not fake3.passed
 
 
+def test_observed_order():
+    widths = [0.4, 0.2, 0.1]
+    errors = [1.6e-2, 4.0e-3, 1.0e-3]
+    assert observed_order(errors, widths) == pytest.approx(2.0, abs=1e-12)
+    assert observed_order([1e-15, 1e-16], [0.2, 0.1]) == float("inf")
+    with pytest.raises(ValueError):
+        observed_order([1.0], [0.1])
+
+
 def test_run_all_requires_two_resolutions():
     with pytest.raises(ValueError):
         run_all(TORUS, resolutions=[16])
@@ -124,10 +134,35 @@ def test_reports_cover_every_claim(torus_report, sphere_report):
     assert torus_ids | sphere_ids == set(CLAIMS)
 
 
+def test_report_check_order(torus_report, sphere_report):
+    # The check order is part of the byte-stable report format.
+    shared = ["C3-residual", "C3-trend", "C4-mean-zero", "C5-limit",
+              "C5-sup-bound", "C6-willmore", "C7-identity", "C7-order",
+              "C8-bound", "C8-odd-n", "area", "euler", "C9-index",
+              "C9-combination", "C10-eigensum", "C11-identity", "C11-order"]
+    assert [c.id for c in torus_report[0].checks] == [
+        "C1-lambda1", "C1-cluster", "C1-order", *shared]
+    assert [c.id for c in sphere_report[0].checks] == [
+        "C2-lambda1", "C2-cluster", "C2-level2", "C2-order", *shared]
+
+
 def test_wall_times_cover_checks(torus_report):
     report, _ = torus_report
-    assert set(report.wall_times) == {c.id for c in report.checks}
+    assert list(report.wall_times) == ["levels", *verify._CHECK_GROUPS]
     assert all(t >= 0.0 for t in report.wall_times.values())
+
+
+def test_check_groups_run_alone_on_prebuilt_levels():
+    # Each group needs only the prebuilt levels, so calling the groups
+    # last to first still gives the report's checks.
+    resolutions = [1, 2, 3]
+    report = run_all(SPHERE, resolutions=resolutions)
+    levels = tuple(verify._level(SPHERE, r, 1e-8, 0) for r in resolutions)
+    run = verify._Run(SPHERE, levels, list(DEFAULT_BETAS), 1.0, 1e-8)
+    checks = []
+    for group in reversed(verify._CHECK_GROUPS.values()):
+        checks = group(run) + checks
+    assert checks == report.checks
 
 
 def test_zero_tolerance_fails_inexact_checks():
