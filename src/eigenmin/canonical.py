@@ -49,6 +49,22 @@ class CanonicalSurface:
     def ambient_dim(self) -> int:
         return self.intrinsic_dim + 2
 
+    @property
+    def euler_characteristic(self) -> int:
+        """0 for the torus, 1 + (-1)^n for S^n."""
+        if self.kind == "clifford":
+            return 0
+        return 1 + (-1) ** self.intrinsic_dim
+
+    @property
+    def base_point(self) -> tuple:
+        """The default base point in this surface's point convention: the
+        angle pair (0, 0) on the torus, the ambient vector (1, 0, ..., 0) on
+        the sphere."""
+        if self.kind == "clifford":
+            return (0.0, 0.0)
+        return (1.0,) + (0.0,) * (self.ambient_dim - 1)
+
 
 def equatorial_sphere(n: int = 2) -> CanonicalSurface:
     return CanonicalSurface("sphere", n)

@@ -12,7 +12,6 @@ A config file given with --config holds one 'key = value' pair per line
 from __future__ import annotations
 
 import argparse
-import math
 import multiprocessing
 import os
 import sys
@@ -37,6 +36,7 @@ from .mesh import (
 )
 from .trial import (
     TruncationParams,
+    _check_betas,
     _profile_columns,
     build_truncation,
     orthogonality_defect,
@@ -100,18 +100,12 @@ def _parse_ints(text, flag):
 
 def _parse_point(text, surface):
     values = _parse_floats(text, "--p0")
-    expected = 2 if surface.kind == "clifford" else 4
+    expected = len(surface.base_point)
     if len(values) != expected:
         raise UsageError(
             "--p0: expected %d comma-separated components for this surface" % expected
         )
     return np.array(values)
-
-
-def _default_point(surface):
-    if surface.kind == "clifford":
-        return np.array([0.0, 0.0])
-    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _str2bool(text):
@@ -200,7 +194,7 @@ def cmd_rayleigh(args):
         beta_line = "beta: none"
     else:
         p0 = (_parse_point(args.p0, mesh.surface) if args.p0
-              else _default_point(mesh.surface))
+              else mesh.surface.base_point)
         try:
             params = TruncationParams(args.coord, p0, args.beta)
             u = build_truncation(mesh, params)
@@ -231,12 +225,14 @@ def cmd_sweep(args):
         raise UsageError("sweep needs a canonical mesh (unrecognized vertices)")
     surface = mesh.surface
     betas = _parse_floats(args.betas, "--betas")
-    if not all(math.isfinite(b) and b > 0 for b in betas):
-        raise UsageError("--betas: beta must be finite and positive")
     unique = sorted(set(betas))
     if len(unique) != len(betas):
         print("warning: duplicate beta values removed", file=sys.stderr)
-    p0 = _parse_point(args.p0, surface) if args.p0 else _default_point(surface)
+    try:
+        unique = _check_betas(unique)
+    except ValueError as exc:
+        raise UsageError("--betas: %s" % exc)
+    p0 = _parse_point(args.p0, surface) if args.p0 else surface.base_point
     ops = assemble(mesh)
     try:
         base = TruncationParams(args.coord, p0, unique[0])

@@ -3,11 +3,11 @@
 Problems of dimension up to 600 go through a dense generalized solve.
 Larger ones factor S + M once (sparse LU with a symmetric ordering and
 diagonal pivots) and run shift-invert Lanczos (ARPACK) about sigma = -1
-from a fixed seeded start vector; the constant mode is deflated by dropping
-the Ritz vector with the largest mass-weighted mean.  Either way the
-returned residuals are recomputed from the matrices, so a Spectrum
-certifies itself: ||S v - lambda M v|| / ||M v|| <= tolerance holds for
-every reported pair.
+from a fixed seeded start vector, with two guard pairs beyond the wanted
+ones.  Both paths deflate the constant mode the same way, by dropping the
+eigenvector with the largest mass-weighted mean, and recompute the
+returned residuals from the matrices, so a Spectrum certifies itself:
+||S v - lambda M v|| / ||M v|| <= tolerance holds for every reported pair.
 
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
 number of eigenvalues below c equals the number of negative pivots of the
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 600
+# Ritz pairs computed beyond the wanted ones and then discarded.  ARPACK's
+# last pairs converge slowest, and a wanted pair inside a degenerate cluster
+# can otherwise stop short of the residual certificate.
+_GUARD_PAIRS = 2
 # Shift of the factored pencil S - sigma M.  S is positive semidefinite and
 # M positive definite, so S + M is positive definite and the shift sits
 # below the whole spectrum.
@@ -104,26 +108,6 @@ def _residuals(S, M, vals, vecs):
     return res
 
 
-def _solve_dense(S, M, k, tol, deflate, dim):
-    Sd = np.asarray(S.todense())
-    Md = np.asarray(M.todense())
-    try:
-        np.linalg.cholesky(Md)
-    except np.linalg.LinAlgError:
-        raise ValueError("mass matrix must be symmetric positive definite")
-    if deflate:
-        ones = np.ones((1, dim))
-        basis = scipy.linalg.null_space(ones @ Md)
-        vals, y = scipy.linalg.eigh(basis.T @ Sd @ basis, basis.T @ Md @ basis)
-        vecs = basis @ y[:, :k]
-    else:
-        vals, vecs = scipy.linalg.eigh(Sd, Md)
-        vecs = vecs[:, :k]
-    vals = np.asarray(vals[:k], dtype=float)
-    res = _residuals(S, M, vals, vecs)
-    return Spectrum(vals, vecs, res, tol, 1, deflate)
-
-
 def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
     """Sorted Spectrum of the lowest k Ritz pairs, residuals recomputed.
 
@@ -141,6 +125,14 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
                     deflate)
 
 
+def _solve_dense(S, M, k, tol, deflate):
+    try:
+        vals, vecs = scipy.linalg.eigh(S.toarray(), M.toarray())
+    except np.linalg.LinAlgError:
+        raise ValueError("mass matrix must be symmetric positive definite")
+    return _ritz_spectrum(S, M, vals, vecs, k, tol, 1, deflate)
+
+
 def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
     lu = _factor(S - _SIGMA * M)
     applications = 0
@@ -152,7 +144,7 @@ def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
 
     op_inv = LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
     v0 = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
-    wanted = k + 1 if deflate else k
+    wanted = (k + 1 if deflate else k) + _GUARD_PAIRS
     try:
         vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
                            tol=0, maxiter=maxiter)
@@ -199,7 +191,7 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
 
     if dim <= _DENSE_CUTOFF:
-        return _solve_dense(S, M, k, tol, deflate_constants, dim)
+        return _solve_dense(S, M, k, tol, deflate_constants)
     if k * 4 >= dim:
         raise ValueError("k must satisfy k < dim/4 for large problems")
     return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed,

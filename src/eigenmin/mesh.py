@@ -15,10 +15,10 @@ from itertools import compress, repeat
 import numpy as np
 
 from .canonical import (
-    SQRT2,
     TWO_PI,
     CanonicalSurface,
     clifford_torus,
+    embed,
     equatorial_sphere,
 )
 
@@ -137,7 +137,7 @@ def validate(mesh: TriMesh) -> None:
     edge_count = int(np.count_nonzero(np.diff(usorted))) + 1 if len(usorted) else 0
     euler = nv - edge_count + len(f)
     if mesh.surface is not None:
-        expected = 0 if mesh.surface.kind == "clifford" else 2
+        expected = mesh.surface.euler_characteristic
         if euler != expected:
             raise MeshError(
                 f"Euler characteristic {euler}, expected {expected}"
@@ -155,15 +155,8 @@ def generate_torus(resolution: int) -> TriMesh:
     angles = TWO_PI * np.arange(resolution) / resolution
     theta, phi = np.meshgrid(angles, angles, indexing="ij")
     params = np.stack([theta.ravel(), phi.ravel()], axis=1)
-    vertices = np.stack(
-        [
-            np.cos(params[:, 0]),
-            np.sin(params[:, 0]),
-            np.cos(params[:, 1]),
-            np.sin(params[:, 1]),
-        ],
-        axis=1,
-    ) / SQRT2
+    surface = clifford_torus()
+    vertices = embed(surface, params)
 
     n = resolution
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -174,7 +167,7 @@ def generate_torus(resolution: int) -> TriMesh:
     lower = np.stack([v00.ravel(), v10.ravel(), v11.ravel()], axis=1)
     upper = np.stack([v00.ravel(), v11.ravel(), v01.ravel()], axis=1)
     faces = np.concatenate([lower, upper], axis=0)
-    return TriMesh(vertices, faces, clifford_torus(), params)
+    return TriMesh(vertices, faces, surface, params)
 
 
 # Icosahedron inscribed in the unit sphere, faces wound counterclockwise as

@@ -149,7 +149,7 @@ def conjecture_check(surface: CanonicalSurface, spectrum: Spectrum,
     if not spectrum.deflated:
         raise ValueError("conjecture check expects a deflated spectrum")
     measured = float(np.mean(spectrum.eigenvalues[:2]))
-    bound = 4.0 * math.pi ** 2 / area
+    bound = canonical.TWO_PI ** 2 / area
     if surface.kind == "clifford":
         return make_check(
             "C10-eigensum",
@@ -176,7 +176,8 @@ def volume_bound_check(surface: CanonicalSurface, area: float,
     bound = canonical.volume_lower_bound(surface.intrinsic_dim)
     holds = area >= bound * (1.0 - tol)
     equal = abs(area - bound) <= tol * bound
-    should_be_equal = surface.kind == "sphere"
+    # Equality holds exactly for the totally geodesic surface, |A|^2 = 0.
+    should_be_equal = canonical.second_fundamental_norm_sq(surface) == 0.0
     consistent = equal == should_be_equal
     word = "attained" if equal else "strict"
     return make_check(
@@ -263,6 +264,7 @@ def _eigen_checks(run: _Run) -> list:
     n, tol = run.n, run.tol
     prefix = "C1" if run.torus else "C2"
     eigenvalues = run.fine.spectrum.eigenvalues
+    exact = canonical.exact_spectrum(run.surface, 3)
     checks = [make_check(
         "%s-lambda1" % prefix,
         "discrete lambda_1 at the finest resolution against the exact value n = %d" % n,
@@ -271,14 +273,16 @@ def _eigen_checks(run: _Run) -> list:
         "%s-cluster" % prefix,
         "number of discrete eigenvalues within 1%% of the first exact level",
         int(np.count_nonzero(np.abs(eigenvalues - n) <= 0.01 * n)),
-        4 if run.torus else 3, 0.0, mode="absolute",
+        exact[1][1], 0.0, mode="absolute",
     )]
     if not run.torus:
+        level2 = exact[2][0]
         checks.append(make_check(
             "C2-level2",
-            "worst relative deviation of eigenvalues 4-6 from the exact level 6",
-            float(np.max(np.abs(eigenvalues[3:6] / 6.0 - 1.0))), 0.0, 0.01 * tol,
-            mode="absolute",
+            "worst relative deviation of eigenvalues 4-6 from the exact level %g"
+            % level2,
+            float(np.max(np.abs(eigenvalues[3:6] / level2 - 1.0))), 0.0,
+            0.01 * tol, mode="absolute",
         ))
     errs = [abs(float(lv.spectrum.eigenvalues[0]) - n) for lv in run.levels]
     checks.append(make_check(
@@ -322,8 +326,7 @@ def _mean_zero_checks(run: _Run) -> list:
 
 def _sweep_checks(run: _Run) -> list:
     mesh = run.fine.mesh
-    base_point = [0.0, 0.0] if run.torus else [1.0, 0.0, 0.0, 0.0]
-    base = TruncationParams(1, base_point, run.betas[0])
+    base = TruncationParams(1, run.surface.base_point, run.betas[0])
     records = sweep_beta(mesh, run.fine.ops, base, run.betas)
     sup_x = float(np.abs(mesh.vertices[:, 0]).max())
     excess = max(r.sup_error - sup_x / r.beta for r in records)
@@ -340,11 +343,12 @@ def _sweep_checks(run: _Run) -> list:
 
 
 def _willmore_checks(run: _Run) -> list:
+    """Minimal surfaces have H = 0, so the exact energy is the area."""
     return [make_check(
         "C6-willmore",
         "Willmore energy integral (1 + H^2) at the finest resolution",
         willmore_energy(run.fine.mesh, run.fine.ops),
-        2.0 * math.pi ** 2 if run.torus else 4.0 * math.pi, 0.02 * run.tol,
+        canonical.exact_area(run.surface), 0.02 * run.tol,
     )]
 
 
@@ -371,7 +375,7 @@ def _pointwise_checks(run: _Run) -> list:
 def _volume_checks(run: _Run) -> list:
     """The volume bound and its odd-n spot check, the area and Euler."""
     area = run.fine.stats.total_area
-    vol_s1 = 2.0 * math.pi
+    vol_s1 = canonical.exact_area(canonical.equatorial_sphere(1))
     bound_1 = canonical.volume_lower_bound(1)
     return [volume_bound_check(run.surface, area, 0.01 * run.tol), make_check(
         "C8-odd-n",
@@ -386,8 +390,8 @@ def _volume_checks(run: _Run) -> list:
     ), make_check(
         "euler",
         "Euler characteristic of the finest mesh",
-        float(run.fine.stats.euler_char), 0.0 if run.torus else 2.0,
-        0.0, mode="absolute",
+        float(run.fine.stats.euler_char),
+        float(run.surface.euler_characteristic), 0.0, mode="absolute",
     )]
 
 
@@ -395,11 +399,13 @@ def _index_checks(run: _Run) -> list:
     n = run.n
     a_sq = canonical.second_fundamental_norm_sq(run.surface)
     potential = n + a_sq
-    exact = [lam for lam, _ in canonical.exact_spectrum(run.surface, 6)]
-    target = 5.0 if run.torus else 1.0
+    exact = canonical.exact_spectrum(run.surface, 6)
+    # The index counts the exact eigenvalues below the potential.
+    target = float(sum(mult for lam, mult in exact if lam < potential))
+    levels = [lam for lam, _ in exact]
     try:
         idx = morse_index(run.fine.ops, potential, tol=run.solver_tol,
-                          oracle_levels=exact)
+                          oracle_levels=levels)
         index = make_check(
             "C9-index",
             "eigenvalue count below the stability potential n + |A|^2 = %g"

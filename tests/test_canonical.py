@@ -36,6 +36,17 @@ def test_surface_constructors():
         CanonicalSurface("clifford", 3)
 
 
+def test_euler_characteristic_and_base_point():
+    assert TORUS.euler_characteristic == 0
+    assert [equatorial_sphere(n).euler_characteristic for n in (1, 2, 3, 4)] == [
+        0, 2, 0, 2]
+    assert TORUS.base_point == (0.0, 0.0)
+    assert equatorial_sphere(3).base_point == (1.0, 0.0, 0.0, 0.0, 0.0)
+    # Each base point is a point of its surface.
+    for surface in (TORUS, SPHERE, equatorial_sphere(3)):
+        assert geodesic_distance(surface, surface.base_point, surface.base_point) == 0.0
+
+
 def test_exact_spectrum_torus():
     assert exact_spectrum(TORUS, 5) == [
         (0.0, 1),

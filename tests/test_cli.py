@@ -298,6 +298,15 @@ def test_non_finite_beta_rejected(argv, capsys):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("betas", [",", ""])
+def test_sweep_rejects_empty_betas(capsys, betas):
+    rc = main(["sweep", "--surface", "clifford", "--resolution", "8",
+               "--betas", betas])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--betas: at least one beta value is required" in err
+
+
 @pytest.mark.parametrize("betas, message", [
     ("4,1", "betas must be strictly ascending"),
     ("1,nan", "beta must be finite and positive"),

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from eigenmin import canonical, eigen
+from eigenmin import canonical, eigen, fem, mesh
 from eigenmin.eigen import (
     IndeterminateIndex,
     NonConvergence,
@@ -47,6 +47,10 @@ def test_input_validation(ops64):
 def test_indefinite_mass_rejected():
     S = sp.identity(3, format="csr")
     M = sp.diags([1.0, -1.0, 1.0]).tocsr()
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_lowest((S, M), 2)
+    # A positive diagonal does not make M definite; the dense solve finds out.
+    M = sp.csr_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
         solve_lowest((S, M), 2)
 
@@ -144,6 +148,18 @@ def test_nonconvergence_carries_best_spectrum(ops64):
     assert err.spectrum.eigenvectors.shape == (ops64.dim, err.spectrum.eigenvalues.size)
     assert np.all(err.spectrum.residuals <= err.spectrum.tolerance)
     assert "converged" in str(err)
+
+
+@pytest.mark.parametrize("subdiv, k, seed", [(3, 5, 0), (3, 4, 7), (3, 6, 9),
+                                             (4, 6, 10)])
+def test_last_pair_inside_a_cluster_certifies(subdiv, k, seed):
+    # The last wanted pair sits inside the 5-fold level-6 cluster of the
+    # sphere; ARPACK's last pairs converge slowest, so without guard pairs
+    # beyond the wanted ones these stop just above the certificate.
+    ops = fem.assemble(mesh.generate_sphere(subdiv))
+    spectrum = solve_lowest(ops, k, seed=seed)
+    assert spectrum.eigenvalues.size == k
+    assert np.all(spectrum.residuals <= spectrum.tolerance)
 
 
 def test_morse_index_torus(ops64):

@@ -100,6 +100,43 @@ def test_observed_order():
         observed_order([1.0], [0.1])
 
 
+# The paper's closed-form values, written out here so that what verify
+# derives from canonical is checked against the paper independently.
+PAPER = {
+    "clifford": dict(cluster=4, level2=None, index=5, willmore=2.0 * math.pi ** 2,
+                     euler=0, base_point=(0.0, 0.0), equality=False),
+    "sphere": dict(cluster=3, level2=6.0, index=1, willmore=4.0 * math.pi,
+                   euler=2, base_point=(1.0, 0.0, 0.0, 0.0), equality=True),
+}
+
+
+@pytest.mark.parametrize("surface", [TORUS, SPHERE], ids=["torus", "sphere"])
+def test_canonical_gives_the_paper_values(surface, torus_report, sphere_report):
+    paper = PAPER[surface.kind]
+    exact = canonical.exact_spectrum(surface, 6)
+    potential = surface.intrinsic_dim + canonical.second_fundamental_norm_sq(surface)
+    assert exact[1] == (2.0, paper["cluster"])
+    if paper["level2"] is not None:
+        assert exact[2][0] == paper["level2"]
+    assert sum(m for lam, m in exact if lam < potential) == paper["index"]
+    assert canonical.exact_area(surface) == paper["willmore"]
+    assert surface.euler_characteristic == paper["euler"]
+    assert surface.base_point == paper["base_point"]
+    assert (canonical.second_fundamental_norm_sq(surface) == 0.0) == paper["equality"]
+    # The report expects these values, and its checks pass.
+    report = (torus_report if surface is TORUS else sphere_report)[0]
+    checks = {c.id: c for c in report.checks}
+    prefix = "C1" if surface is TORUS else "C2"
+    assert checks[prefix + "-cluster"].expected == paper["cluster"]
+    if paper["level2"] is not None:
+        assert checks["C2-level2"].description.endswith(
+            "exact level %g" % paper["level2"])
+    assert checks["C9-index"].expected == paper["index"]
+    assert checks["C6-willmore"].expected == paper["willmore"]
+    assert checks["euler"].expected == paper["euler"]
+    assert report.overall_pass
+
+
 def test_run_all_requires_two_resolutions():
     with pytest.raises(ValueError):
         run_all(TORUS, resolutions=[16])
