@@ -225,13 +225,12 @@ def cmd_sweep(args):
         raise UsageError("sweep needs a canonical mesh (unrecognized vertices)")
     surface = mesh.surface
     betas = _parse_floats(args.betas, "--betas")
-    unique = sorted(set(betas))
-    if len(unique) != len(betas):
-        print("warning: duplicate beta values removed", file=sys.stderr)
     try:
-        unique = _check_betas(unique)
+        unique = _check_betas(sorted(set(betas)))
     except ValueError as exc:
         raise UsageError("--betas: %s" % exc)
+    if len(unique) != len(betas):
+        print("warning: duplicate beta values removed", file=sys.stderr)
     p0 = _parse_point(args.p0, surface) if args.p0 else surface.base_point
     ops = assemble(mesh)
     try:
@@ -339,13 +338,14 @@ def cmd_verify(args):
         if args.subdivs is not None:
             raise UsageError("--subdivs applies to the sphere; use --resolutions")
         resolutions = (_parse_ints(args.resolutions, "--resolutions")
-                       if args.resolutions else None)
+                       if args.resolutions is not None else None)
     else:
         if args.resolutions is not None:
             raise UsageError("--resolutions applies to the torus; use --subdivs")
         resolutions = (_parse_ints(args.subdivs, "--subdivs")
-                       if args.subdivs else None)
-    betas = _parse_floats(args.betas, "--betas") if args.betas else None
+                       if args.subdivs is not None else None)
+    betas = (_parse_floats(args.betas, "--betas")
+             if args.betas is not None else None)
     report = run_all(surface, resolutions=resolutions, betas=betas,
                      tol=args.tol, solver_tol=args.solver_tol, seed=args.seed)
     for check in report.checks:

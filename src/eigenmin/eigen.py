@@ -12,6 +12,15 @@ returned residuals from the matrices, so a Spectrum certifies itself:
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
 number of eigenvalues below c equals the number of negative pivots of the
 symmetric factorization of S - c M.
+
+Every factorization starts from a reverse Cuthill-McKee (RCM) order of the
+matrix when that order has a strictly smaller envelope than the given one,
+and from the given order otherwise; SuperLU's minimum degree ordering then
+runs on that.  The rule reads only the matrix.  It picks RCM on the
+icosphere, whose numbering has a wide envelope (sphere 5: 41.9M entries
+against 1.37M, and a factor of S + M in 0.054 s instead of 0.59 s), and
+keeps the torus grid's order, where RCM would add fill.  The table of
+measurements is at ``_factor``.
 """
 
 from __future__ import annotations
@@ -89,15 +98,67 @@ def _pencil(ops):
     return S, M
 
 
+def _envelope(A, order):
+    """Envelope of A with rows and columns taken in ``order``.
+
+    The sum over rows i of i - min{j <= i : a_ij != 0}: the entries a
+    profile (envelope) scheme stores for a symmetric factorization (George
+    & Liu 1981, ch. 4).
+    """
+    rank = np.empty(A.shape[0], dtype=np.intp)
+    rank[order] = np.arange(A.shape[0])
+    first = rank.copy()
+    coo = A.tocoo()
+    np.minimum.at(first, coo.row, rank[coo.col])
+    return int(np.sum(rank - first))
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """SuperLU factor ``lu`` of A[order][:, order] that solves with A."""
+
+    lu: object
+    order: np.ndarray
+
+    def solve(self, b):
+        y = self.lu.solve(b[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+# MMD_AT_PLUS_A handles the icosphere's vertex numbering badly.  An RCM
+# pre-permutation shrinks the envelope there 15 to 60 times and makes the
+# factor 5 to 40 times faster.  On the torus grid RCM grows the envelope a
+# little and the fill by about 16% (n = 128), so the given order stays.
+# One factor of S + M, and one solve with it, on one thread of a 2-vCPU VM:
+#
+#   pencil      envelope given / RCM   rule picks   factor s        solve ms
+#   torus 64         516k / 521k       given        0.018           0.40
+#   torus 128       4.16M / 4.18M      given        0.089           2.44
+#   sphere 4        2.63M / 0.17M      RCM          0.039 -> 0.008  0.63 -> 0.22
+#   sphere 5        41.9M / 1.37M      RCM          0.590 -> 0.054  6.31 -> 2.10
+#   sphere 6         670M / 11.0M      RCM          7-15  -> 0.37   -    -> 8.7
+#
+# (x -> y: plain MMD, then MMD after the rule's order.)
 def _factor(A):
     """Sparse LU of the symmetric matrix A with diagonal pivots.
 
-    The ordering is symmetric and no row is exchanged for stability, so
-    when perm_r equals perm_c the factor is P A P' = L U with U = D L' and
-    the diagonal of U carries the pivots of the LDL' factorization.
+    A is first permuted symmetrically by RCM when that strictly shrinks its
+    envelope, and left in its order otherwise.  The ordering is symmetric
+    and no row is exchanged for stability, so when the factor's perm_r
+    equals its perm_c it is Q A[p][:, p] Q' = L U with U = D L', and the
+    diagonal of U carries the pivots of an LDL' factorization congruent to
+    A: by Sylvester's law they have A's inertia.
     """
-    return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    natural = np.arange(A.shape[0])
+    rcm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    order = rcm if _envelope(A, rcm) < _envelope(A, natural) else natural
+    lu = splu(sp.csc_matrix(A[order][:, order]), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return _Factor(lu, order)
 
 
 def _residuals(S, M, vals, vecs):
@@ -204,7 +265,7 @@ def _count_below(S, M, shift):
     By Sylvester's law of inertia this is the number of negative pivots of
     the symmetric factorization of S - shift M.
     """
-    lu = _factor(S - shift * M)
+    lu = _factor(S - shift * M).lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             "the factorization of S - %.12g M left the diagonal; its pivots"

@@ -201,6 +201,16 @@ def test_verify_bad_resolutions(capsys):
     # One resolution cannot support convergence checks; the run must not crash.
 
 
+@pytest.mark.parametrize("surface, flag", [
+    ("clifford", "--resolutions="), ("sphere", "--subdivs="),
+])
+def test_verify_rejects_empty_level_list(capsys, surface, flag):
+    # An empty list is not an absent flag: it must not run the defaults.
+    rc = main(["verify", "--surface", surface, flag])
+    assert rc == EXIT_USAGE
+    assert "need at least two resolutions" in capsys.readouterr().err
+
+
 def test_verify_malformed_resolutions(capsys):
     rc = main(["verify", "--surface", "clifford", "--resolutions", "a,b"])
     assert rc == EXIT_USAGE
@@ -287,15 +297,17 @@ def test_nonconvergence_exit_code(monkeypatch, capsys):
     ["rayleigh", "--surface", "clifford", "--resolution", "8", "--beta", "nan"],
     ["rayleigh", "--surface", "clifford", "--resolution", "8", "--beta", "inf"],
     ["verify", "--surface", "clifford", "--resolutions", "8,16", "--betas", "1,nan"],
+    ["sweep", "--surface", "clifford", "--resolution", "8", "--betas", "1,1,nan"],
 ])
 def test_non_finite_beta_rejected(argv, capsys):
+    # A rejected list gets no duplicate warning, and numpy raises none.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(argv)
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "beta must be finite and positive" in err
-    assert "Warning" not in err
+    assert "warning" not in err.lower()
 
 
 @pytest.mark.parametrize("betas", [",", ""])
@@ -313,6 +325,7 @@ def test_sweep_rejects_empty_betas(capsys, betas):
     ("inf", "beta must be finite and positive"),
     ("2,2", "betas must be strictly ascending"),
     (",", "at least one beta value is required"),
+    ("", "at least one beta value is required"),
 ])
 def test_verify_checks_betas_before_building_levels(monkeypatch, capsys,
                                                      betas, message):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from eigenmin import canonical, eigen, fem, mesh
 from eigenmin.eigen import (
@@ -211,6 +212,48 @@ def test_inertia_count_matches_dense_spectrum(request, name):
                     morse_index(ops, c, oracle_levels=[0.0])
             else:
                 assert morse_index(ops, c, oracle_levels=[0.0]) == np.count_nonzero(exact < lo)
+
+
+def _plain_mmd(A):
+    return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("surface, res, rcm", [
+    ("sphere", 3, True), ("sphere", 4, True), ("sphere", 5, True),
+    ("torus", 32, False), ("torus", 64, False),
+])
+def test_factor_orders_by_rcm_only_where_the_envelope_shrinks(surface, res, rcm):
+    # The icosphere's vertex numbering has a wide envelope that RCM shrinks;
+    # the torus grid's is already narrow, so its factor is plain MMD's.
+    m = mesh.generate_sphere(res) if surface == "sphere" else mesh.generate_torus(res)
+    ops = fem.assemble(m)
+    A = ops.stiffness + ops.mass
+    factor = eigen._factor(A)
+    natural = np.arange(ops.dim)
+    assert np.array_equal(factor.order, natural) != rcm
+    assert (eigen._envelope(A, factor.order) < eigen._envelope(A, natural)) == rcm
+    plain = _plain_mmd(A)
+    nnz = factor.lu.L.nnz + factor.lu.U.nnz
+    if rcm:
+        assert nnz <= plain.L.nnz + plain.U.nnz
+    else:
+        assert nnz == plain.L.nnz + plain.U.nnz
+        assert np.array_equal(factor.lu.U.diagonal(), plain.U.diagonal())
+    b = np.random.default_rng(0).standard_normal(ops.dim)
+    x = factor.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_morse_index_invariant_under_vertex_renumbering(ops32):
+    # A random numbering has a wide envelope, so the torus pencil goes
+    # through the RCM branch; the inertia of P A P' is that of A.
+    perm = np.random.default_rng(5).permutation(ops32.dim)
+    S = ops32.stiffness[perm][:, perm]
+    M = ops32.mass[perm][:, perm]
+    assert not np.array_equal(eigen._factor(S + M).order, np.arange(ops32.dim))
+    for c in (2.0, 4.0, 9.0):
+        assert morse_index((S, M), c) == morse_index(ops32, c)
 
 
 def test_morse_index_computes_no_eigenpairs(monkeypatch, ops32):
