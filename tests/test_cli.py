@@ -372,3 +372,79 @@ def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
     assert "error: formatting failed in worker" in err
     assert "worker %d" % parent not in err
     assert multiprocessing.active_children() == []
+
+
+# argv -> the stderr line of a usage error (exit 2).  "{torus}" is a torus
+# SMESH file, "{foreign}" a closed unit-sphere mesh no surface is recognized
+# in, "{bad_cfg}" a config file with a malformed line, "{missing}" a path
+# that does not exist.
+USAGE_ERRORS = [
+    (["mesh", "--surface", "clifford", "--subdiv", "3"],
+     "--subdiv applies to the sphere; use --resolution"),
+    (["spectrum", "--surface", "sphere", "--resolution", "8"],
+     "--resolution applies to the torus; use --subdiv"),
+    (["verify", "--surface", "clifford", "--subdivs", "2,3"],
+     "--subdivs applies to the sphere; use --resolutions"),
+    (["verify", "--surface", "sphere", "--resolutions", "8,16"],
+     "--resolutions applies to the torus; use --subdivs"),
+    (["mesh", "--surface", "clifford", "--resolution", "2"],
+     "--resolution: resolution must be at least 3"),
+    (["sweep", "--surface", "sphere", "--subdiv", "-1"],
+     "--subdiv: subdivisions must be nonnegative"),
+    (["spectrum", "--mesh", "{torus}", "--surface", "clifford"],
+     "give either --mesh or --surface, not both"),
+    (["rayleigh"], "a mesh source is required: --mesh or --surface"),
+    (["spectrum", "--surface", "clifford", "--resolution", "8", "--k", "0"],
+     "--k must be at least 1"),
+    (["rayleigh", "--mesh", "{foreign}"],
+     "rayleigh needs a canonical mesh (unrecognized vertices)"),
+    (["sweep", "--mesh", "{foreign}"],
+     "sweep needs a canonical mesh (unrecognized vertices)"),
+    (["rayleigh", "--mesh", "{torus}", "--beta", "4", "--p0", "1,2,3"],
+     "--p0: expected 2 comma-separated components for this surface"),
+    (["sweep", "--mesh", "{torus}", "--p0", "a,b"],
+     "--p0: expected a comma-separated list of numbers"),
+    (["sweep", "--mesh", "{torus}", "--betas", "a"],
+     "--betas: expected a comma-separated list of numbers"),
+    (["sweep", "--mesh", "{torus}", "--betas", "1,inf"],
+     "--betas: beta must be finite and positive"),
+    (["verify", "--surface", "clifford", "--betas", "x"],
+     "--betas: expected a comma-separated list of numbers"),
+    (["verify", "--surface", "clifford", "--resolutions", "a,b"],
+     "--resolutions: expected a comma-separated list of integers"),
+    (["rayleigh", "--mesh", "{torus}", "--coord", "5"],
+     "coordinate index must be in 1..4"),
+    (["oracle", "--surface", "sphere", "--n", "0"],
+     "--n: intrinsic_dim must be positive"),
+    (["oracle", "--surface", "sphere", "--count", "0"],
+     "--count must be at least 1"),
+    (["oracle", "--surface", "sphere", "--config", "{missing}"],
+     "--config: [Errno 2] No such file or directory: '{missing}'"),
+    (["oracle", "--surface", "sphere", "--config", "{bad_cfg}"],
+     "--config: line 2 is not 'key = value'"),
+    (["oracle", "--surface", "sphere", "--config"],
+     "--config needs a file path"),
+]
+
+
+@pytest.fixture(scope="module")
+def usage_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("usage")
+    mesh.write_mesh(mesh.generate_torus(8), root / "t8.smesh")
+    # the 1-subdivided icosphere turned out of the x4 = 0 slice
+    sphere = mesh.generate_sphere(1)
+    turn = np.eye(4)
+    turn[2:, 2:] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+    foreign = mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None, None)
+    mesh.write_mesh(foreign, root / "foreign.smesh")
+    (root / "bad.cfg").write_text("count = 3\nn 2\n")
+    return {"torus": str(root / "t8.smesh"), "foreign": str(root / "foreign.smesh"),
+            "bad_cfg": str(root / "bad.cfg"), "missing": str(root / "missing.cfg")}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error(argv, message, usage_files, capsys):
+    rc = main([a.format(**usage_files) for a in argv])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message.format(**usage_files)
