@@ -125,17 +125,13 @@ def geodesic_distance(surface: CanonicalSurface, p, q):
     """Geodesic distance between two points of a canonical surface.
 
     Sphere: the angular distance arccos <p, q>.  Torus: the flat product
-    metric distance (1/sqrt(2)) * min over lattice shifts of the Euclidean
-    norm of the angle differences; shifts k, l in {-1, 0, 1} suffice once the
-    differences are reduced to (-pi, pi].  Broadcasts over leading axes.
+    metric distance sqrt(dtheta^2 + dphi^2) / sqrt(2), the minimum over
+    lattice shifts, which the unshifted differences attain once each is
+    reduced to (-pi, pi].  Broadcasts over leading axes.
     """
     if surface.kind == "clifford":
         d = torus_angle_deltas(p, q)
-        shifts = TWO_PI * np.array([-1.0, 0.0, 1.0])
-        dt = (d[..., 0, None] + shifts) ** 2
-        dp = (d[..., 1, None] + shifts) ** 2
-        best = dt[..., :, None] + dp[..., None, :]
-        out = np.sqrt(np.min(best, axis=(-2, -1))) / SQRT2
+        out = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2) / SQRT2
     else:
         a = embed(surface, p)
         b = embed(surface, q)

@@ -12,8 +12,6 @@ A config file given with --config holds one 'key = value' pair per line
 from __future__ import annotations
 
 import argparse
-import multiprocessing
-import os
 import sys
 
 import numpy as np
@@ -26,23 +24,15 @@ from .fem import (
     project_mean_zero,
     rayleigh,
 )
-from .mesh import (
-    MeshError,
-    generate,
-    mesh_stats,
-    read_mesh,
-    repr_floats,
-    write_mesh,
-)
+from .mesh import MeshError, generate, mesh_stats, read_mesh, write_mesh
 from .trial import (
     TruncationParams,
     _check_betas,
-    _profile_columns,
     build_truncation,
     orthogonality_defect,
     sweep_beta,
     sweep_csv,
-    truncation_profile,
+    write_profiles,
 )
 from .verify import render_report, report_csv, run_all
 
@@ -51,37 +41,55 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
+# --surface value (also its canonical surface kind) -> level flag, the name
+# usage messages give the surface, default level of a generated mesh.  The
+# plural flag (--resolutions, --subdivs) lists verify's levels.
+_LEVELS = {
+    "clifford": ("resolution", "torus", 64),
+    "sphere": ("subdiv", "sphere", 4),
+}
+
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-def _surface(args):
-    if args.surface == "clifford":
-        return canonical.clifford_torus()
-    return canonical.equatorial_sphere(2)
-
-
-def _resolution(args, surface):
-    """Pick the right granularity flag for the surface kind."""
-    if surface.kind == "clifford":
-        if getattr(args, "subdiv", None) is not None:
-            raise UsageError("--subdiv applies to the sphere; use --resolution")
-        return args.resolution if args.resolution is not None else 64
-    if getattr(args, "resolution", None) is not None:
-        raise UsageError("--resolution applies to the torus; use --subdiv")
-    return args.subdiv if args.subdiv is not None else 4
-
-
-def _generate(surface, res, flag):
+def _surface(args, n=2):
+    """The canonical surface of --surface; n is the sphere dimension (--n)."""
     try:
-        return generate(surface, res)
+        return canonical.CanonicalSurface(args.surface, n)
+    except ValueError as exc:
+        raise UsageError("--n: %s" % exc)
+
+
+def _level(args, plural=""):
+    """Name and value of the level flag of --surface, singular or plural
+    (plural="s"); the other surface's flag is a usage error."""
+    flag = _LEVELS[args.surface][0] + plural
+    for other, name, _ in _LEVELS.values():
+        if other + plural != flag and getattr(args, other + plural) is not None:
+            raise UsageError("--%s%s applies to the %s; use --%s"
+                             % (other, plural, name, flag))
+    return "--" + flag, getattr(args, flag)
+
+
+def _load_mesh(args):
+    """The mesh read from --mesh, or generated for --surface at its level."""
+    if getattr(args, "mesh", None):
+        if args.surface is not None:
+            raise UsageError("give either --mesh or --surface, not both")
+        for flag, _, _ in _LEVELS.values():
+            if getattr(args, flag) is not None:
+                raise UsageError("--%s applies to --surface, not to --mesh" % flag)
+        return read_mesh(args.mesh)
+    if args.surface is None:
+        raise UsageError("a mesh source is required: --mesh or --surface")
+    flag, level = _level(args)
+    try:
+        return generate(_surface(args),
+                        _LEVELS[args.surface][2] if level is None else level)
     except MeshError as exc:
         raise UsageError("%s: %s" % (flag, exc))
-
-
-def _flag_name(surface):
-    return "--resolution" if surface.kind == "clifford" else "--subdiv"
 
 
 def _parse_floats(text, flag):
@@ -98,8 +106,11 @@ def _parse_ints(text, flag):
         raise UsageError("%s: expected a comma-separated list of integers" % flag)
 
 
-def _parse_point(text, surface):
-    values = _parse_floats(text, "--p0")
+def _base_point(args, surface):
+    """--p0 as a point of ``surface``, or the surface's own base point."""
+    if not args.p0:
+        return surface.base_point
+    values = _parse_floats(args.p0, "--p0")
     expected = len(surface.base_point)
     if len(values) != expected:
         raise UsageError(
@@ -129,14 +140,12 @@ def _emit(text, out_path):
 
 
 def cmd_mesh(args):
-    surface = _surface(args)
-    res = _resolution(args, surface)
-    mesh = _generate(surface, res, _flag_name(surface))
+    mesh = _load_mesh(args)
     stats = mesh_stats(mesh)
     if args.out:
         write_mesh(mesh, args.out)
     lines = [
-        "surface: %s" % surface.kind,
+        "surface: %s" % mesh.surface.kind,
         "vertices: %d" % stats.vertex_count,
         "faces: %d" % stats.face_count,
         "euler: %d" % stats.euler_char,
@@ -147,18 +156,6 @@ def cmd_mesh(args):
         lines.append("written: %s" % args.out)
     print("\n".join(lines))
     return EXIT_OK
-
-
-def _load_mesh(args):
-    if getattr(args, "mesh", None):
-        if args.surface is not None:
-            raise UsageError("give either --mesh or --surface, not both")
-        return read_mesh(args.mesh)
-    if args.surface is None:
-        raise UsageError("a mesh source is required: --mesh or --surface")
-    surface = _surface(args)
-    res = _resolution(args, surface)
-    return _generate(surface, res, _flag_name(surface))
 
 
 def cmd_spectrum(args):
@@ -188,32 +185,21 @@ def cmd_rayleigh(args):
     mesh = _load_mesh(args)
     if mesh.surface is None:
         raise UsageError("rayleigh needs a canonical mesh (unrecognized vertices)")
-    ops = assemble(mesh)
     if args.beta is None:
+        if args.p0 is not None:
+            raise UsageError("--p0 applies only with --beta")
         u = coordinate_function(mesh, args.coord)
-        beta_line = "beta: none"
     else:
-        p0 = (_parse_point(args.p0, mesh.surface) if args.p0
-              else mesh.surface.base_point)
-        try:
-            params = TruncationParams(args.coord, p0, args.beta)
-            u = build_truncation(mesh, params)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        beta_line = "beta: %s" % repr(args.beta)
-    try:
-        raw = rayleigh(ops, u)
-        projected = rayleigh(ops, project_mean_zero(ops, u))
-        defect = orthogonality_defect(ops, u)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        params = TruncationParams(args.coord, _base_point(args, mesh.surface), args.beta)
+        u = build_truncation(mesh, params)
+    ops = assemble(mesh)
     lines = [
         "surface: %s" % mesh.surface.kind,
         "coordinate: %d" % args.coord,
-        beta_line,
-        "rayleigh-raw: %s" % repr(raw),
-        "rayleigh-projected: %s" % repr(projected),
-        "orthogonality-defect: %s" % repr(defect),
+        "beta: %s" % ("none" if args.beta is None else repr(args.beta)),
+        "rayleigh-raw: %s" % repr(rayleigh(ops, u)),
+        "rayleigh-projected: %s" % repr(rayleigh(ops, project_mean_zero(ops, u))),
+        "orthogonality-defect: %s" % repr(orthogonality_defect(ops, u)),
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -223,7 +209,6 @@ def cmd_sweep(args):
     mesh = _load_mesh(args)
     if mesh.surface is None or mesh.param_coords is None:
         raise UsageError("sweep needs a canonical mesh (unrecognized vertices)")
-    surface = mesh.surface
     betas = _parse_floats(args.betas, "--betas")
     try:
         unique = _check_betas(sorted(set(betas)))
@@ -231,123 +216,22 @@ def cmd_sweep(args):
         raise UsageError("--betas: %s" % exc)
     if len(unique) != len(betas):
         print("warning: duplicate beta values removed", file=sys.stderr)
-    p0 = _parse_point(args.p0, surface) if args.p0 else surface.base_point
+    p0 = _base_point(args, mesh.surface)
     ops = assemble(mesh)
-    try:
-        base = TruncationParams(args.coord, p0, unique[0])
-        records = sweep_beta(mesh, ops, base, unique)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    records = sweep_beta(mesh, ops, TruncationParams(args.coord, p0, unique[0]), unique)
     _emit(sweep_csv(records), args.out)
     if args.profiles:
-        _write_profiles(args.profiles, mesh, args.coord, p0, unique)
+        write_profiles(args.profiles, mesh, args.coord, p0, unique)
     return EXIT_OK
 
 
-# Profile files with fewer rows (vertices x betas) than this are formatted in
-# this process: forking the workers and returning their chunks costs more
-# than it saves.  Median times of 11-beta profiles on 2 vCPUs, pooled against
-# inline: torus 64 (45k rows) 0.21 s / 0.18 s, torus 96 (101k) 0.37 s /
-# 0.38 s, torus 128 (180k) 0.52 s / 0.66 s, torus 256 (721k) 1.34 s / 2.06 s.
-_PROFILE_POOL_ROWS = 100_000
-
-# Row slices per beta.  Small chunks keep the parent's queue of formatted
-# results, and with it its peak memory, small.
-_PROFILE_SLICES = 8
-
-# Set by the pool initializer in a forked worker only; the parent never
-# holds it.
-_worker_state = None
-
-
-def _profile_rows(state, job):
-    """The profile rows of one (beta, start, stop) job, formatted.
-
-    ``state`` holds the distance-sorted distance and x_i columns and their
-    ``repr`` strings; only the beta-dependent columns are computed here.
-    """
-    d, x, fixed = state
-    beta, start, stop = job
-    columns = np.stack(_profile_columns(beta, d[start:stop], x[start:stop]), axis=1)
-    cells = np.empty((stop - start, 5), dtype=object)
-    cells[:, [0, 3]] = fixed[start:stop]
-    cells[:, [1, 2, 4]] = repr_floats(columns).reshape(-1, 3)
-    row = repr(beta) + ",%s,%s,%s,%s,%s\n"
-    return (row * (stop - start)) % tuple(cells.ravel().tolist())
-
-
-def _init_profile_worker(state):
-    global _worker_state
-    _worker_state = state
-
-
-def _pooled_profile_rows(job):
-    return _profile_rows(_worker_state, job)
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-def _profile_workers(jobs, rows):
-    """Worker processes for the profile writer; 1 formats in this process."""
-    if rows < _PROFILE_POOL_ROWS or "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(_usable_cpus(), jobs)
-
-
-def _write_profiles(path, mesh, coord, p0, betas):
-    """Write the decay profiles, one block of distance-sorted rows per beta.
-
-    Distance, x_i and their strings are made once per sweep.  Each block is
-    cut into row slices that format independently; above a size threshold a
-    fork pool formats them and ``imap`` returns them in order, so the bytes
-    do not depend on the number of workers.  The workers inherit the columns
-    through fork instead of receiving them per task; a spawned worker would
-    import the package again and need them pickled.  They run elementwise
-    numpy and ``repr`` only, no BLAS.
-    """
-    block = truncation_profile(mesh, TruncationParams(coord, p0, betas[0]))
-    # contiguous columns, so every slice takes the same numpy loops as the whole
-    state = (block[:, 0].copy(), block[:, 3].copy(),
-             repr_floats(block[:, [0, 3]]).reshape(-1, 2))
-    n = len(block)
-    edges = [n * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
-    jobs = [(beta, start, stop) for beta in betas
-            for start, stop in zip(edges, edges[1:]) if start < stop]
-    workers = _profile_workers(len(jobs), n * len(betas))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("beta,distance,phi_beta,u_beta,x_i,abs_error\n")
-        if workers == 1:
-            fh.writelines(_profile_rows(state, job) for job in jobs)
-            return
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, _init_profile_worker, (state,))
-        with pool:
-            fh.writelines(pool.imap(_pooled_profile_rows, jobs))
-            pool.close()
-            pool.join()
-
-
 def cmd_verify(args):
-    surface = _surface(args)
-    if surface.kind == "clifford":
-        if args.subdivs is not None:
-            raise UsageError("--subdivs applies to the sphere; use --resolutions")
-        resolutions = (_parse_ints(args.resolutions, "--resolutions")
-                       if args.resolutions is not None else None)
-    else:
-        if args.resolutions is not None:
-            raise UsageError("--resolutions applies to the torus; use --subdivs")
-        resolutions = (_parse_ints(args.subdivs, "--subdivs")
-                       if args.subdivs is not None else None)
-    betas = (_parse_floats(args.betas, "--betas")
-             if args.betas is not None else None)
-    report = run_all(surface, resolutions=resolutions, betas=betas,
-                     tol=args.tol, solver_tol=args.solver_tol, seed=args.seed)
+    flag, levels = _level(args, "s")
+    report = run_all(
+        _surface(args),
+        resolutions=None if levels is None else _parse_ints(levels, flag),
+        betas=None if args.betas is None else _parse_floats(args.betas, "--betas"),
+        tol=args.tol, solver_tol=args.solver_tol, seed=args.seed)
     for check in report.checks:
         status = "ok  " if check.passed else "FAIL"
         print("%s %-14s measured=%s expected=%s" % (
@@ -363,13 +247,7 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
-    if args.surface == "clifford":
-        surface = canonical.clifford_torus()
-    else:
-        try:
-            surface = canonical.equatorial_sphere(args.n)
-        except ValueError as exc:
-            raise UsageError("--n: %s" % exc)
+    surface = _surface(args, args.n)
     if args.count < 1:
         raise UsageError("--count must be at least 1")
     lines = [
@@ -398,6 +276,15 @@ def build_parser():
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--config", default=None,
                         help="key = value file of flag defaults; flags win")
+    surfaces = list(_LEVELS)
+    levels = argparse.ArgumentParser(add_help=False)
+    for flag, name, default in _LEVELS.values():
+        levels.add_argument("--" + flag, type=int, default=None,
+                            help="%s mesh level (default %d)" % (name, default))
+    # the mesh source of spectrum, rayleigh and sweep
+    source = argparse.ArgumentParser(add_help=False, parents=[levels])
+    source.add_argument("--mesh", default=None, help="SMESH file to load")
+    source.add_argument("--surface", default=None, choices=surfaces)
 
     parser = argparse.ArgumentParser(
         prog="eigenmin",
@@ -406,45 +293,30 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mesh", parents=[common],
+    p = sub.add_parser("mesh", parents=[common, levels],
                        help="generate a canonical mesh and print its stats")
-    p.add_argument("--surface", required=True, choices=["clifford", "sphere"])
-    p.add_argument("--resolution", type=int, default=None,
-                   help="torus grid resolution (default 64)")
-    p.add_argument("--subdiv", type=int, default=None,
-                   help="sphere subdivision level (default 4)")
+    p.add_argument("--surface", required=True, choices=surfaces)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[common, source],
                        help="solve for the lowest eigenvalues")
-    p.add_argument("--mesh", default=None, help="SMESH file to load")
-    p.add_argument("--surface", default=None, choices=["clifford", "sphere"])
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--subdiv", type=int, default=None)
     p.add_argument("--k", type=int, default=6, help="eigenpair count (default 6)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="residual certificate (default 1e-8)")
     p.add_argument("--deflate", type=_str2bool, default=True,
                    help="remove the constant mode first (default true)")
 
-    p = sub.add_parser("rayleigh", parents=[common],
+    p = sub.add_parser("rayleigh", parents=[common, source],
                        help="Rayleigh quotient of a coordinate or truncation")
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--surface", default=None, choices=["clifford", "sphere"])
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--subdiv", type=int, default=None)
     p.add_argument("--coord", type=int, default=1,
                    help="1-based ambient coordinate (default 1)")
     p.add_argument("--beta", type=float, default=None,
                    help="truncation strength; omit for the plain coordinate")
     p.add_argument("--p0", default=None,
-                   help="base point: torus 'theta,phi', sphere 'x1,x2,x3,x4'")
+                   help="base point of the truncation: torus 'theta,phi',"
+                        " sphere 'x1,x2,x3,x4'")
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, source],
                        help="sweep beta and emit the sweep CSV")
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--surface", default=None, choices=["clifford", "sphere"])
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--subdiv", type=int, default=None)
     p.add_argument("--coord", type=int, default=1)
     p.add_argument("--p0", default=None)
     p.add_argument("--betas", default="1,2,4,8,16,32,64,128,256,512,1024")
@@ -453,22 +325,23 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full check suite; exit 1 on failure")
-    p.add_argument("--surface", required=True, choices=["clifford", "sphere"])
-    p.add_argument("--resolutions", default=None,
-                   help="torus grid resolutions, e.g. 16,32,64")
-    p.add_argument("--subdivs", default=None,
-                   help="sphere subdivision levels, e.g. 2,3,4")
+    p.add_argument("--surface", required=True, choices=surfaces)
+    for flag, name, _ in _LEVELS.values():
+        p.add_argument("--%ss" % flag, default=None,
+                       help="comma-separated %s mesh levels" % name)
     p.add_argument("--betas", default=None)
     p.add_argument("--tol", type=float, default=1.0,
-                   help="scale on every check tolerance (default 1.0)")
+                   help="scale on every check tolerance, finite and >= 0"
+                        " (default 1.0)")
     p.add_argument("--solver-tol", type=float, default=1e-8)
     p.add_argument("--csv", default=None, help="also write the CSV report here")
 
     p = sub.add_parser("oracle", parents=[common],
                        help="print closed-form values for a surface")
-    p.add_argument("--surface", required=True, choices=["clifford", "sphere"])
+    p.add_argument("--surface", required=True, choices=surfaces)
     p.add_argument("--n", type=int, default=2,
-                   help="sphere dimension for the oracle (default 2)")
+                   help="surface dimension for the oracle; the torus has 2"
+                        " (default 2)")
     p.add_argument("--count", type=int, default=5,
                    help="number of eigenvalue levels (default 5)")
 
@@ -532,7 +405,7 @@ def main(argv=None) -> int:
         argv = _inject_config(list(argv))
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (UsageError, MeshError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except NonConvergence as exc:

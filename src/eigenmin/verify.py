@@ -475,8 +475,9 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
             seed: int = 0) -> VerificationReport:
     """Run the full check set and return the report.
 
-    ``tol`` scales every check tolerance (1.0 keeps the defaults; 0 makes
-    every inexact check fail while leaving the report well-formed).
+    ``tol`` scales every check tolerance and must be finite and
+    non-negative (1.0 keeps the defaults; 0 makes every inexact check fail
+    while leaving the report well-formed).
     ``solver_tol`` is the eigensolver residual certificate.  Bad inputs
     raise ValueError before any level is built.  Individual check failures
     are recorded; infrastructure failures (assembly errors, solver
@@ -489,6 +490,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
     betas = _check_betas(DEFAULT_BETAS if betas is None else betas)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative")
 
     clock = time.perf_counter
     start = clock()

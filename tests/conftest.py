@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from eigenmin import canonical, cli, eigen, fem, mesh, verify
+from eigenmin import canonical, eigen, fem, mesh, trial, verify
 
 
 @pytest.fixture(scope="session")
@@ -88,5 +88,5 @@ def pooled_profiles(monkeypatch):
     """Make `sweep --profiles` format on a two-worker fork pool at any size."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the fork start method is not available")
-    monkeypatch.setattr(cli, "_PROFILE_POOL_ROWS", 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trial, "_PROFILE_POOL_ROWS", 0)
+    monkeypatch.setattr(trial, "_usable_cpus", lambda: 2)

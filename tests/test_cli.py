@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigenmin import canonical, cli, mesh, verify
+from eigenmin import canonical, cli, mesh, trial, verify
 from eigenmin.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -339,6 +339,18 @@ def test_verify_checks_betas_before_building_levels(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_verify_checks_tol_before_building_levels(monkeypatch, capsys, tol):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level was built before --tol was checked")
+
+    monkeypatch.setattr(verify, "generate", unreachable)
+    monkeypatch.setattr(verify, "solve_lowest", unreachable)
+    rc = main(["verify", "--surface", "clifford", "--tol=" + tol])
+    assert rc == EXIT_USAGE
+    assert "tol must be finite and non-negative" in capsys.readouterr().err
+
+
 def _profiles_argv(tmp_path, name):
     return ["sweep", "--surface", "clifford", "--resolution", "64", "--coord", "2",
             "--p0", "0.3,1.7", "--betas", "1,2,4,8,16,32,64,128,256,512,1024",
@@ -348,7 +360,7 @@ def _profiles_argv(tmp_path, name):
 
 def test_sweep_profiles_pooled_equals_inline(tmp_path, monkeypatch, pooled_profiles):
     assert main(_profiles_argv(tmp_path, "pooled.csv")) == EXIT_OK
-    monkeypatch.setattr(cli, "_PROFILE_POOL_ROWS", 10 ** 12)
+    monkeypatch.setattr(trial, "_PROFILE_POOL_ROWS", 10 ** 12)
     assert main(_profiles_argv(tmp_path, "inline.csv")) == EXIT_OK
     inline = (tmp_path / "inline.csv").read_bytes()
     assert len(inline.splitlines()) == 1 + 11 * 64 * 64
@@ -359,14 +371,14 @@ def test_sweep_profiles_pooled_equals_inline(tmp_path, monkeypatch, pooled_profi
 def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
                                             pooled_profiles):
     parent = os.getpid()
-    real = cli.repr_floats
+    real = trial.repr_floats
 
     def fail_in_worker(values):
         if os.getpid() != parent:
             raise ValueError("formatting failed in worker %d" % os.getpid())
         return real(values)
 
-    monkeypatch.setattr(cli, "repr_floats", fail_in_worker)
+    monkeypatch.setattr(trial, "repr_floats", fail_in_worker)
     assert main(_profiles_argv(tmp_path, "p.csv")) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: formatting failed in worker" in err
@@ -376,8 +388,8 @@ def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
 
 # argv -> the stderr line of a usage error (exit 2).  "{torus}" is a torus
 # SMESH file, "{foreign}" a closed unit-sphere mesh no surface is recognized
-# in, "{bad_cfg}" a config file with a malformed line, "{missing}" a path
-# that does not exist.
+# in, "{bad_cfg}" a config file with a malformed line, "{level_cfg}" one
+# that sets --resolution, "{missing}" a path that does not exist.
 USAGE_ERRORS = [
     (["mesh", "--surface", "clifford", "--subdiv", "3"],
      "--subdiv applies to the sphere; use --resolution"),
@@ -424,6 +436,19 @@ USAGE_ERRORS = [
      "--config: line 2 is not 'key = value'"),
     (["oracle", "--surface", "sphere", "--config"],
      "--config needs a file path"),
+    # flags the command would otherwise ignore
+    (["spectrum", "--mesh", "{torus}", "--resolution", "8"],
+     "--resolution applies to --surface, not to --mesh"),
+    (["sweep", "--mesh", "{torus}", "--subdiv", "2"],
+     "--subdiv applies to --surface, not to --mesh"),
+    (["rayleigh", "--mesh", "{torus}", "--config", "{level_cfg}"],
+     "--resolution applies to --surface, not to --mesh"),
+    (["rayleigh", "--mesh", "{torus}", "--p0", "1,2"],
+     "--p0 applies only with --beta"),
+    (["oracle", "--surface", "clifford", "--n", "5"],
+     "--n: the Clifford torus has intrinsic dimension 2"),
+    (["verify", "--surface", "clifford", "--tol", "nan"],
+     "tol must be finite and non-negative"),
 ]
 
 
@@ -438,8 +463,10 @@ def usage_files(tmp_path_factory):
     foreign = mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None, None)
     mesh.write_mesh(foreign, root / "foreign.smesh")
     (root / "bad.cfg").write_text("count = 3\nn 2\n")
+    (root / "level.cfg").write_text("resolution = 12\n")
     return {"torus": str(root / "t8.smesh"), "foreign": str(root / "foreign.smesh"),
-            "bad_cfg": str(root / "bad.cfg"), "missing": str(root / "missing.cfg")}
+            "bad_cfg": str(root / "bad.cfg"), "missing": str(root / "missing.cfg"),
+            "level_cfg": str(root / "level.cfg")}
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
