@@ -86,6 +86,45 @@ def test_assemble_matches_elementwise_reference(maker):
     assert np.array_equal(ops.stiffness.indices, ops.mass.indices)
 
 
+def _per_corner_cot_stiffness(m, ops):
+    """S.data rebuilt from the per-corner cotangent cot(a, b) of the edge
+    vectors a, b leaving each corner, summed into S's own sparsity pattern
+    in the order assemble sums them: faces in order, corner 0, 1, 2."""
+    V, F = m.vertices, m.faces
+    nv = m.vertex_count
+
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    def cot(a, b):
+        cross_sq = dot(a, a) * dot(b, b) - dot(a, b) ** 2
+        return dot(a, b) / np.sqrt(np.maximum(cross_sq, fem._AREA_FLOOR ** 2))
+
+    p0, p1, p2 = V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
+    half_cot = 0.5 * np.concatenate(
+        [cot(p1 - p0, p2 - p0), cot(p2 - p1, p0 - p1), cot(p0 - p2, p1 - p2)])
+    S = ops.stiffness
+    rows = np.repeat(np.arange(nv), np.diff(S.indptr))
+    keys = rows.astype(np.int64) * nv + S.indices
+    tail = np.concatenate([F[:, 1], F[:, 2], F[:, 0]]).astype(np.int64)
+    head = np.concatenate([F[:, 2], F[:, 0], F[:, 1]]).astype(np.int64)
+    slot = np.searchsorted(keys, np.concatenate([tail * nv + head, head * nv + tail]))
+    data = np.bincount(slot, np.tile(-half_cot, 2), minlength=S.nnz)
+    diag = np.searchsorted(keys, np.arange(nv, dtype=np.int64) * (nv + 1))
+    data[diag] = -np.bincount(rows, data, minlength=nv)
+    return data
+
+
+@pytest.mark.parametrize("maker", [lambda: mesh.generate_torus(3),
+                                   lambda: mesh.generate_torus(16),
+                                   lambda: mesh.generate_sphere(0),
+                                   lambda: mesh.generate_sphere(2)])
+def test_stiffness_bit_equals_per_corner_cotangents(maker):
+    m = maker()
+    ops = assemble(m)
+    assert np.array_equal(ops.stiffness.data, _per_corner_cot_stiffness(m, ops))
+
+
 def test_assemble_shapes_and_symmetry(ops64, torus64):
     assert ops64.dim == torus64.vertex_count
     assert ops64.stiffness.shape == (ops64.dim, ops64.dim)
@@ -179,6 +218,14 @@ def test_coordinate_gradient_identity_exactly_two(torus64, sphere4):
         vals = coordinate_gradient_identity(m)
         assert vals.shape == (m.face_count,)
         assert np.max(np.abs(vals - 2.0)) < 1e-12
+
+
+def test_coordinate_gradient_identity_bit_equals_coordinate_sum(torus32, sphere2):
+    for m in (torus32, sphere2):
+        total = np.zeros(m.face_count)
+        for i in range(4):
+            total += face_gradient_sq(m, m.vertices[:, i])
+        assert np.array_equal(coordinate_gradient_identity(m), total)
 
 
 def test_vertex_normals(torus64, sphere4):
