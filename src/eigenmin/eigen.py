@@ -52,6 +52,8 @@ _GUARD_PAIRS = 2
 # M positive definite, so S + M is positive definite and the shift sits
 # below the whole spectrum.
 _SIGMA = -1.0
+# ARPACK restarts before a solve gives up with NonConvergence.
+_MAXITER = 3000
 
 
 class SolverError(RuntimeError):
@@ -194,7 +196,7 @@ def _solve_dense(S, M, k, tol, deflate):
     return _ritz_spectrum(S, M, vals, vecs, k, tol, 1, deflate)
 
 
-def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
+def _solve_shift_invert(S, M, k, tol, deflate, dim, seed):
     lu = _factor(S - _SIGMA * M)
     applications = 0
 
@@ -208,7 +210,7 @@ def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
     wanted = (k + 1 if deflate else k) + _GUARD_PAIRS
     try:
         vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
-                           tol=0, maxiter=maxiter)
+                           tol=0, maxiter=_MAXITER)
     except ArpackNoConvergence as exc:
         partial = _ritz_spectrum(S, M, exc.eigenvalues, exc.eigenvectors, k,
                                  tol, applications, deflate)
@@ -228,8 +230,18 @@ def _solve_shift_invert(S, M, k, tol, deflate, dim, seed, maxiter):
     return spectrum
 
 
+def _check_tol(tol, name="tol"):
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError("%s must lie in [1e-12, 1e-4]" % name)
+
+
+def _check_seed(seed):
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError("seed must be a non-negative integer")
+
+
 def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
-                 seed: int = 0, maxiter: int = 3000) -> Spectrum:
+                 seed: int = 0) -> Spectrum:
     """Lowest k eigenpairs of S v = lambda M v, ascending.
 
     ``ops`` is a FemOperators or a (stiffness, mass) pair.  With
@@ -237,16 +249,16 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
     space, so the reported eigenvalues start at the first nonzero one.
     Residuals of the returned pairs are certified below ``tol``; if the
     iteration budget runs out first, NonConvergence carries the best
-    partial spectrum.  On the sparse path ``seed`` fixes the start vector,
-    ``maxiter`` bounds the ARPACK restarts and ``Spectrum.iterations``
+    partial spectrum.  On the sparse path ``seed`` (a non-negative integer
+    on both paths) fixes the start vector and ``Spectrum.iterations``
     counts applications of the factored inverse; the dense path reports 1.
     """
     S, M = _pencil(ops)
     dim = S.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
+    _check_tol(tol)
+    _check_seed(seed)
     limit = dim - 1 if deflate_constants else dim
     if k > limit:
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
@@ -255,8 +267,7 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
         return _solve_dense(S, M, k, tol, deflate_constants)
     if k * 4 >= dim:
         raise ValueError("k must satisfy k < dim/4 for large problems")
-    return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed,
-                               maxiter)
+    return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed)
 
 
 def _count_below(S, M, shift):
@@ -291,8 +302,7 @@ def morse_index(ops, potential_constant: float, tol: float = 1e-8,
     """
     if potential_constant < 0:
         raise ValueError("potential constant must be nonnegative")
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
+    _check_tol(tol)
     S, M = _pencil(ops)
     margin = 10.0 * tol
     if oracle_levels is not None:

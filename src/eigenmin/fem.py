@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, TriMesh, face_areas
+from .mesh import MeshError, TriMesh, face_geometry
 
 __all__ = [
     "FemOperators",
@@ -60,17 +60,14 @@ def _values(u, dim=None):
     return v
 
 
-def _face_geometry(mesh):
-    """Edge vectors, Gram entries and areas for every face."""
-    V, F = mesh.vertices, mesh.faces
-    u = V[F[:, 1]] - V[F[:, 0]]
-    v = V[F[:, 2]] - V[F[:, 0]]
-    uu = np.einsum("ij,ij->i", u, u)
-    vv = np.einsum("ij,ij->i", v, v)
-    uv = np.einsum("ij,ij->i", u, v)
-    gram = uu * vv - uv * uv
-    areas = 0.5 * np.sqrt(np.maximum(gram, 0.0))
-    return u, v, uu, vv, uv, areas
+def _checked_geometry(mesh):
+    """``face_geometry`` of the mesh, raising :class:`MeshError` naming the
+    first face of (numerically) zero area."""
+    geometry = face_geometry(mesh.vertices, mesh.faces)
+    bad = np.nonzero(geometry[5] < _AREA_FLOOR)[0]
+    if bad.size:
+        raise MeshError("degenerate face %d has zero area" % bad[0])
+    return geometry
 
 
 def assemble(mesh: TriMesh) -> FemOperators:
@@ -79,26 +76,18 @@ def assemble(mesh: TriMesh) -> FemOperators:
     Raises :class:`MeshError` naming the first degenerate face if any
     triangle has (numerically) zero area.
     """
-    V, F = mesh.vertices, mesh.faces
+    F = mesh.faces
     nv = mesh.vertex_count
-    _, _, _, _, _, areas = _face_geometry(mesh)
-    bad = np.nonzero(areas < _AREA_FLOOR)[0]
-    if bad.size:
-        raise MeshError("degenerate face %d has zero area" % bad[0])
-
-    p0, p1, p2 = V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
-
-    def cot(a, b):
-        # cotangent of the angle between edge vectors a and b
-        cross_sq = (
-            np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b)
-            - np.einsum("ij,ij->i", a, b) ** 2
-        )
-        return np.einsum("ij,ij->i", a, b) / np.sqrt(np.maximum(cross_sq, _AREA_FLOOR**2))
-
-    c0 = cot(p1 - p0, p2 - p0)  # angle at vertex 0, opposite edge (1,2)
-    c1 = cot(p2 - p1, p0 - p1)
-    c2 = cot(p0 - p2, p1 - p2)
+    _, _, uu, vv, uv, areas = _checked_geometry(mesh)
+    # The cotangent at corner k comes from the Gram entries of the face
+    # rotated so that corner k comes first.
+    grams = [(uu, vv, uv)] + [
+        face_geometry(mesh.vertices, np.roll(F, -k, axis=1))[2:5] for k in (1, 2)
+    ]
+    half_cot = 0.5 * np.concatenate([
+        uv / np.sqrt(np.maximum(uu * vv - uv * uv, _AREA_FLOOR**2))
+        for uu, vv, uv in grams
+    ])
 
     # S and M share one sparsity pattern: both directions of every face
     # edge (the edges opposite vertex 0, 1, 2 in turn) plus the diagonal.
@@ -113,7 +102,6 @@ def assemble(mesh: TriMesh) -> FemOperators:
     rows = pattern // nv
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
 
-    half_cot = 0.5 * np.concatenate([c0, c1, c2])
     s_data = np.bincount(edge_slot, np.tile(-half_cot, 2), minlength=pattern.size)
     s_data[diag_slot] = -np.bincount(rows, s_data, minlength=nv)
     m_data = np.bincount(edge_slot, np.tile(areas / 12.0, 6), minlength=pattern.size)
@@ -152,18 +140,17 @@ def project_mean_zero(ops: FemOperators, u):
     return v - shift
 
 
-def _face_normals(mesh):
+def _face_normals(mesh, B, C):
     """Unit normal of each face within the tangent space of the 3-sphere.
 
-    In four ambient dimensions a triangle has a 2-plane of directions
-    orthogonal to it; the face normal used here is the generalized cross
-    product of (centroid, edge1, edge2), the unique direction orthogonal
-    to both edges and to the radial direction at the centroid.
+    B and C are the face edge vectors from ``face_geometry``.  In four
+    ambient dimensions a triangle has a 2-plane of directions orthogonal to
+    it; the face normal used here is the generalized cross product of
+    (centroid, B, C), the unique direction orthogonal to both edges and to
+    the radial direction at the centroid.
     """
     V, F = mesh.vertices, mesh.faces
     A = (V[F[:, 0]] + V[F[:, 1]] + V[F[:, 2]]) / 3.0
-    B = V[F[:, 1]] - V[F[:, 0]]
-    C = V[F[:, 2]] - V[F[:, 0]]
 
     def det3(i, j, k):
         return (
@@ -189,8 +176,8 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """
     if mesh.vertices.shape[1] != 4:
         raise ValueError("vertex normals are defined for 4-dimensional ambient meshes")
-    areas = face_areas(mesh.vertices, mesh.faces)
-    fn = _face_normals(mesh)
+    u, v, _, _, _, areas = face_geometry(mesh.vertices, mesh.faces)
+    fn = _face_normals(mesh, u, v)
     vn = np.zeros_like(mesh.vertices)
     for k in range(3):
         np.add.at(vn, mesh.faces[:, k], fn * areas[:, None])
@@ -252,20 +239,21 @@ def takahashi_residual(ops: FemOperators, u, n: int) -> float:
     return float(np.sqrt(dual) / (n * np.sqrt(mnorm_sq)))
 
 
-def face_gradient_sq(mesh: TriMesh, u) -> np.ndarray:
-    """Squared norm of the piecewise-constant gradient of ``u`` per face."""
-    v = _values(u, mesh.vertex_count)
-    eu, ev, uu, vv, uv, areas = _face_geometry(mesh)
-    bad = np.nonzero(areas < _AREA_FLOOR)[0]
-    if bad.size:
-        raise MeshError("degenerate face %d has zero area" % bad[0])
-    F = mesh.faces
-    d1 = v[F[:, 1]] - v[F[:, 0]]
-    d2 = v[F[:, 2]] - v[F[:, 0]]
+def _gradient_sq(faces, geometry, v) -> np.ndarray:
+    """Per-face squared gradient norm of the P1 interpolant of ``v``."""
+    _, _, uu, vv, uv, _ = geometry
+    d1 = v[faces[:, 1]] - v[faces[:, 0]]
+    d2 = v[faces[:, 2]] - v[faces[:, 0]]
     det = uu * vv - uv * uv
     a = (vv * d1 - uv * d2) / det
     b = (uu * d2 - uv * d1) / det
     return a * a * uu + 2.0 * a * b * uv + b * b * vv
+
+
+def face_gradient_sq(mesh: TriMesh, u) -> np.ndarray:
+    """Squared norm of the piecewise-constant gradient of ``u`` per face."""
+    v = _values(u, mesh.vertex_count)
+    return _gradient_sq(mesh.faces, _checked_geometry(mesh), v)
 
 
 def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
@@ -278,8 +266,8 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
     basis vector onto the face plane, and the squared norms sum to the
     trace of that projection.
     """
+    geometry = _checked_geometry(mesh)
     total = np.zeros(mesh.face_count)
-    for i in range(mesh.vertices.shape[1]):
-        total += face_gradient_sq(mesh, mesh.vertices[:, i])
+    for x in mesh.vertices.T:
+        total += _gradient_sq(mesh.faces, geometry, x)
     return total
-

@@ -250,15 +250,20 @@ def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
     raise MeshError("unknown surface kind %r" % surface.kind)
 
 
-def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Flat areas of the embedded triangles (Gram determinant form)."""
-    u = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-    v = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    uu = np.sum(u * u, axis=1)
-    vv = np.sum(v * v, axis=1)
-    uv = np.sum(u * v, axis=1)
-    g = uu * vv - uv * uv
-    return 0.5 * np.sqrt(np.maximum(g, 0.0))
+def face_geometry(vertices: np.ndarray, faces: np.ndarray):
+    """Edge vectors u = p1 - p0 and v = p2 - p0 of every face, their Gram
+    entries u.u, v.v, u.v and the flat face areas (Gram determinant form),
+    as the tuple (u, v, uu, vv, uv, areas)."""
+    # np.take copies whole rows, several times faster than fancy indexing;
+    # the in-place differences save two fresh (F, 4) arrays
+    p0, u, v = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
+    u -= p0
+    v -= p0
+    uu = np.einsum("ij,ij->i", u, u)
+    vv = np.einsum("ij,ij->i", v, v)
+    uv = np.einsum("ij,ij->i", u, v)
+    areas = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+    return u, v, uu, vv, uv, areas
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
@@ -273,7 +278,7 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
         face_count=mesh.face_count,
         euler_char=euler,
         max_edge=float(np.linalg.norm(diff, axis=1).max()),
-        total_area=float(face_areas(mesh.vertices, mesh.faces).sum()),
+        total_area=float(face_geometry(mesh.vertices, mesh.faces)[5].sum()),
     )
 
 

@@ -17,20 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    CanonicalSurface,
-    embed,
-    geodesic_distance,
-    torus_angle_deltas,
+from .canonical import geodesic_distance
+from .fem import (
+    FemOperators,
+    _values,
+    coordinate_function,
+    project_mean_zero,
+    rayleigh,
 )
-from .fem import FemOperators, _values, project_mean_zero, rayleigh
 from .mesh import TriMesh, repr_floats
 
 __all__ = [
     "TruncationParams",
     "SweepRecord",
     "build_truncation",
-    "truncation_gradient_sq",
     "orthogonality_defect",
     "sweep_beta",
     "sweep_csv",
@@ -40,8 +40,6 @@ __all__ = [
 
 SWEEP_HEADER = "beta,rayleigh_raw,rayleigh_projected,orthogonality_defect,sup_error,grad_l2_error"
 PROFILES_HEADER = "beta,distance,phi_beta,u_beta,x_i,abs_error"
-
-_CUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,6 @@ class TruncationParams:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
-        if self.coord_index < 1:
-            raise ValueError("coord_index is 1-based and must be positive")
         object.__setattr__(
             self, "base_point", np.asarray(self.base_point, dtype=float)
         )
@@ -72,25 +68,14 @@ class SweepRecord:
     grad_l2_error: float
 
 
-def _check_coord(surface: CanonicalSurface, index: int) -> None:
-    if not 1 <= index <= surface.ambient_dim:
-        raise ValueError(
-            "coord_index must be in 1..%d for this surface" % surface.ambient_dim
-        )
-
-
 def _decay(beta: float, d: np.ndarray) -> np.ndarray:
     """phi_beta = exp(-beta d^2) / beta."""
     with np.errstate(under="ignore"):
         return np.exp(-beta * d * d) / beta
 
 
-def _truncation_factor(beta: float, d: np.ndarray) -> np.ndarray:
-    return 1.0 - _decay(beta, d)
-
-
-def _profile_columns(beta: float, d: np.ndarray, x: np.ndarray):
-    """The beta-dependent profile columns phi_beta, u_beta and |u_beta - x_i|.
+def _truncation(beta: float, d: np.ndarray, x: np.ndarray):
+    """phi_beta, u_beta = x_i (1 - phi_beta) and |u_beta - x_i|.
 
     Elementwise, so a slice of d and x gives the same bits as the whole.
     """
@@ -103,7 +88,6 @@ def _base_distance(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     """Geodesic distance from every vertex to the base point."""
     if mesh.surface is None or mesh.param_coords is None:
         raise ValueError("truncation functions need a mesh with surface parameters")
-    _check_coord(mesh.surface, params.coord_index)
     return np.asarray(
         geodesic_distance(mesh.surface, mesh.param_coords, params.base_point)
     )
@@ -112,83 +96,8 @@ def _base_distance(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
 def build_truncation(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     """Sample u_beta at every vertex of a canonical mesh."""
     d = _base_distance(mesh, params)
-    x = mesh.vertices[:, params.coord_index - 1]
-    return x * _truncation_factor(params.beta, d)
-
-
-def _torus_gradient_sq(params: TruncationParams, p: np.ndarray) -> float:
-    delta = torus_angle_deltas(p, params.base_point)
-    if abs(abs(delta[0]) - math.pi) <= _CUT_TOL or abs(abs(delta[1]) - math.pi) <= _CUT_TOL:
-        raise ValueError("point lies on the cut locus of the base point")
-    theta, phi = float(p[0]), float(p[1])
-    i = params.coord_index
-    # chart values/partials of x_i on (theta, phi)
-    if i == 1:
-        x, x_th, x_ph = math.cos(theta), -math.sin(theta), 0.0
-    elif i == 2:
-        x, x_th, x_ph = math.sin(theta), math.cos(theta), 0.0
-    elif i == 3:
-        x, x_th, x_ph = math.cos(phi), 0.0, -math.sin(phi)
-    else:
-        x, x_th, x_ph = math.sin(phi), 0.0, math.cos(phi)
-    x /= math.sqrt(2.0)
-    x_th /= math.sqrt(2.0)
-    x_ph /= math.sqrt(2.0)
-    dsq = 0.5 * float(delta @ delta)  # d^2 = (dtheta^2 + dphi^2) / 2
-    beta = params.beta
-    with np.errstate(under="ignore"):
-        e = math.exp(-beta * dsq) if beta * dsq < 700 else 0.0
-    a = 1.0 - e / beta
-    # grad(d^2) has chart components (dtheta, dphi); u = x * (1 - e/beta)
-    u_th = a * x_th + e * x * delta[0]
-    u_ph = a * x_ph + e * x * delta[1]
-    # metric is I/2 on the chart, so |grad f|^2 = 2 (f_theta^2 + f_phi^2)
-    return 2.0 * (u_th * u_th + u_ph * u_ph)
-
-
-def _sphere_gradient_sq(params: TruncationParams, p: np.ndarray) -> float:
-    q = np.asarray(p, dtype=float)
-    p0 = params.base_point
-    cosd = float(np.clip(q @ p0, -1.0, 1.0))
-    d = math.acos(cosd)
-    if abs(d - math.pi) <= _CUT_TOL:
-        raise ValueError("point lies on the cut locus of the base point")
-    i = params.coord_index
-    x = float(q[i - 1])
-    # tangential gradient of x_i: project e_i onto the slice tangent space
-    grad_x = -x * q
-    grad_x[i - 1] += 1.0
-    grad_x[-1] = 0.0
-    beta = params.beta
-    with np.errstate(under="ignore"):
-        e = math.exp(-beta * d * d) if beta * d * d < 700 else 0.0
-    a = 1.0 - e / beta
-    grad = a * grad_x
-    if d > 1e-12:
-        grad_d = (cosd * q - p0) / math.sin(d)
-        grad = grad + e * x * 2.0 * d * grad_d
-    return float(grad @ grad)
-
-
-def truncation_gradient_sq(surface: CanonicalSurface, params: TruncationParams,
-                           p) -> float:
-    """Pointwise |grad u_beta|^2 from the product-rule expansion.
-
-    grad u = (1 - exp(-beta d^2)/beta) grad x_i + exp(-beta d^2) x_i grad(d^2),
-    evaluated with analytic tangential gradients on the parametric chart.
-    Points within 1e-9 of the cut locus of the base point are rejected; the
-    distance itself is fine there but its gradient is not.
-    """
-    _check_coord(surface, params.coord_index)
-    point = np.asarray(p, dtype=float)
-    if surface.kind == "clifford":
-        if params.base_point.shape != (2,) or point.shape != (2,):
-            raise ValueError("torus points are (theta, phi) pairs")
-        return _torus_gradient_sq(params, point)
-    base = embed(surface, params.base_point)
-    point = embed(surface, point)
-    fixed = TruncationParams(params.coord_index, base, params.beta)
-    return _sphere_gradient_sq(fixed, point)
+    x = coordinate_function(mesh, params.coord_index)
+    return _truncation(params.beta, d, x)[1]
 
 
 def orthogonality_defect(ops: FemOperators, u) -> float:
@@ -218,22 +127,18 @@ def _check_betas(betas) -> list:
 def sweep_beta(mesh: TriMesh, ops: FemOperators, base: TruncationParams,
                betas) -> list:
     """One SweepRecord per beta, in the given (ascending) order."""
-    if not 1 <= base.coord_index <= mesh.vertices.shape[1]:
-        raise ValueError(
-            "coord_index must be in 1..%d" % mesh.vertices.shape[1]
-        )
+    x = coordinate_function(mesh, base.coord_index)
     betas = _check_betas(betas)
     d = _base_distance(mesh, base)
-    x = mesh.vertices[:, base.coord_index - 1]
     sup_x = float(np.abs(x).max())
     records = []
     for beta in betas:
-        u = x * _truncation_factor(beta, d)
+        _, u, err = _truncation(beta, d, x)
         raw = rayleigh(ops, u)
         projected = rayleigh(ops, project_mean_zero(ops, u))
         defect = orthogonality_defect(ops, u)
         diff = u - x
-        sup_error = float(np.abs(diff).max())
+        sup_error = float(err.max())
         grad_err = math.sqrt(max(float(diff @ (ops.stiffness @ diff)), 0.0))
         if sup_error > sup_x / beta + 1e-12:
             raise AssertionError(
@@ -262,16 +167,11 @@ def truncation_profile(mesh: TriMesh, params: TruncationParams) -> np.ndarray:
     x_i and |u_beta - x_i|.  Rows are sorted by distance (vertex index
     breaking ties), which makes them directly plottable as decay curves.
     """
-    if mesh.surface is None or mesh.param_coords is None:
-        raise ValueError("profiles need a mesh with surface parameters")
-    _check_coord(mesh.surface, params.coord_index)
-    d = np.asarray(
-        geodesic_distance(mesh.surface, mesh.param_coords, params.base_point)
-    )
+    d = _base_distance(mesh, params)
     order = np.lexsort((np.arange(len(d)), d))
     d = d[order]
-    x = mesh.vertices[order, params.coord_index - 1]
-    phi, u, err = _profile_columns(params.beta, d, x)
+    x = coordinate_function(mesh, params.coord_index)[order]
+    phi, u, err = _truncation(params.beta, d, x)
     return np.stack([d, phi, u, x, err], axis=1)
 
 
@@ -299,7 +199,7 @@ def _profile_rows(state, job):
     """
     d, x, fixed = state
     beta, start, stop = job
-    columns = np.stack(_profile_columns(beta, d[start:stop], x[start:stop]), axis=1)
+    columns = np.stack(_truncation(beta, d[start:stop], x[start:stop]), axis=1)
     cells = np.empty((stop - start, 5), dtype=object)
     cells[:, [0, 3]] = fixed[start:stop]
     cells[:, [1, 2, 4]] = repr_floats(columns).reshape(-1, 3)

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import canonical
 from .canonical import CanonicalSurface
-from .eigen import IndeterminateIndex, Spectrum, morse_index, solve_lowest
+from .eigen import (
+    IndeterminateIndex,
+    Spectrum,
+    _check_seed,
+    _check_tol,
+    morse_index,
+    solve_lowest,
+)
 from .fem import (
     FemOperators,
     assemble,
@@ -478,11 +485,12 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     ``tol`` scales every check tolerance and must be finite and
     non-negative (1.0 keeps the defaults; 0 makes every inexact check fail
     while leaving the report well-formed).
-    ``solver_tol`` is the eigensolver residual certificate.  Bad inputs
-    raise ValueError before any level is built.  Individual check failures
-    are recorded; infrastructure failures (assembly errors, solver
-    non-convergence) propagate.  ``wall_times`` holds the time spent
-    building the levels, then the time of each check group.
+    ``solver_tol`` is the eigensolver residual certificate and ``seed``
+    its start-vector seed.  Bad inputs raise ValueError before any level is
+    built.  Individual check failures are recorded; infrastructure failures
+    (assembly errors, solver non-convergence) propagate.  ``wall_times``
+    holds the time spent building the levels, then the time of each check
+    group.
     """
     if resolutions is None:
         resolutions = DEFAULT_RESOLUTIONS[surface.kind]
@@ -492,6 +500,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     betas = _check_betas(DEFAULT_BETAS if betas is None else betas)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")
+    _check_tol(solver_tol, "solver_tol")
+    _check_seed(seed)
 
     clock = time.perf_counter
     start = clock()

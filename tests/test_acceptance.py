@@ -10,7 +10,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from eigenmin import canonical, fem, mesh, trial, verify
+from eigenmin import canonical, fem, mesh, verify
 
 TORUS = canonical.clifford_torus()
 SPHERE = canonical.equatorial_sphere(2)
@@ -210,59 +210,6 @@ def test_P1_residual_certificates(ops64, torus_spectrum, ops_s4, sphere_spectrum
     ok = worst_res <= 1.0 and worst_orth <= 1e-8
     _line("P1-residuals", ok, "residual/tol %.3f <= 1, orthonormality %.2e <= 1e-8"
           % (worst_res, worst_orth))
-
-
-def _fd_u(surface, params, p):
-    x = canonical.embed(surface, p)[params.coord_index - 1]
-    d = canonical.geodesic_distance(surface, p, params.base_point)
-    arg = params.beta * d * d
-    phi = 1.0 - (math.exp(-arg) if arg < 700.0 else 0.0) / params.beta
-    return float(x * phi)
-
-
-def test_P1_gradient_finite_differences():
-    rng = np.random.default_rng(99)
-    h = 1e-6
-    worst = 0.0
-    params_t = trial.TruncationParams(1, np.array([0.3, -0.8]), 2.0)
-    checked = 0
-    while checked < 25:
-        p = rng.uniform(-math.pi, math.pi, size=2)
-        delta = canonical.torus_angle_deltas(p, params_t.base_point)
-        if np.min(np.abs(np.abs(delta) - math.pi)) < 0.05:
-            continue
-        analytic = trial.truncation_gradient_sq(TORUS, params_t, p)
-        dth = (_fd_u(TORUS, params_t, p + [h, 0]) - _fd_u(TORUS, params_t, p - [h, 0])) / (2 * h)
-        dph = (_fd_u(TORUS, params_t, p + [0, h]) - _fd_u(TORUS, params_t, p - [0, h])) / (2 * h)
-        fd = 2.0 * (dth**2 + dph**2)
-        worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-9))
-        checked += 1
-    base = np.array([0.0, 1.0, 0.0, 0.0])
-    params_s = trial.TruncationParams(2, base, 3.0)
-    checked = 0
-    while checked < 25:
-        v = rng.normal(size=4)
-        v[3] = 0.0
-        p = v / np.linalg.norm(v)
-        d = canonical.geodesic_distance(SPHERE, p, base)
-        if d < 0.1 or d > math.pi - 0.1:
-            continue
-        e = rng.normal(size=4)
-        e[3] = 0.0
-        t1 = e - (e @ p) * p
-        t1 /= np.linalg.norm(t1)
-        t2 = np.concatenate([np.cross(p[:3], t1[:3]), [0.0]])
-        grads = [
-            (_fd_u(SPHERE, params_s, math.cos(h) * p + math.sin(h) * t)
-             - _fd_u(SPHERE, params_s, math.cos(h) * p - math.sin(h) * t)) / (2 * h)
-            for t in (t1, t2)
-        ]
-        fd = grads[0] ** 2 + grads[1] ** 2
-        analytic = trial.truncation_gradient_sq(SPHERE, params_s, p)
-        worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-9))
-        checked += 1
-    ok = worst <= 1e-6
-    _line("P1-gradients", ok, "worst relative FD disagreement %.2e <= 1e-6" % worst)
 
 
 def test_P1_mesh_roundtrip(tmp_path):

@@ -140,7 +140,7 @@ def test_sweep_bad_coord(capsys):
     rc = main(["sweep", "--surface", "clifford", "--resolution", "16",
                "--coord", "5", "--betas", "1,2"])
     assert rc == EXIT_USAGE
-    assert "coord_index" in capsys.readouterr().err
+    assert "coordinate index must be in 1..4" in capsys.readouterr().err
 
 
 def test_sweep_profiles(tmp_path, capsys):
@@ -339,16 +339,26 @@ def test_verify_checks_betas_before_building_levels(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
-def test_verify_checks_tol_before_building_levels(monkeypatch, capsys, tol):
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--tol=" + tol, "tol must be finite and non-negative", id=tol)
+    for tol in ("nan", "inf", "-inf", "-1", "-1e-300")
+] + [
+    pytest.param("--solver-tol=" + tol, "solver_tol must lie in [1e-12, 1e-4]",
+                 id="solver-tol=" + tol)
+    for tol in ("nan", "1e-13", "1e-3")
+] + [
+    pytest.param("--seed=-1", "seed must be a non-negative integer", id="seed=-1"),
+])
+def test_verify_checks_tol_before_building_levels(monkeypatch, capsys, flag,
+                                                  message):
     def unreachable(*args, **kwargs):
-        raise AssertionError("a level was built before --tol was checked")
+        raise AssertionError("a level was built before %s was checked" % flag)
 
     monkeypatch.setattr(verify, "generate", unreachable)
     monkeypatch.setattr(verify, "solve_lowest", unreachable)
-    rc = main(["verify", "--surface", "clifford", "--tol=" + tol])
+    rc = main(["verify", "--surface", "clifford", flag])
     assert rc == EXIT_USAGE
-    assert "tol must be finite and non-negative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _profiles_argv(tmp_path, name):
@@ -426,6 +436,14 @@ USAGE_ERRORS = [
      "--resolutions: expected a comma-separated list of integers"),
     (["rayleigh", "--mesh", "{torus}", "--coord", "5"],
      "coordinate index must be in 1..4"),
+    (["rayleigh", "--mesh", "{torus}", "--beta", "4", "--coord", "5"],
+     "coordinate index must be in 1..4"),
+    (["rayleigh", "--mesh", "{torus}", "--beta", "4", "--coord", "0"],
+     "coordinate index must be in 1..4"),
+    (["sweep", "--mesh", "{torus}", "--coord", "5"],
+     "coordinate index must be in 1..4"),
+    (["sweep", "--mesh", "{torus}", "--coord", "0"],
+     "coordinate index must be in 1..4"),
     (["oracle", "--surface", "sphere", "--n", "0"],
      "--n: intrinsic_dim must be positive"),
     (["oracle", "--surface", "sphere", "--count", "0"],
@@ -449,6 +467,15 @@ USAGE_ERRORS = [
      "--n: the Clifford torus has intrinsic dimension 2"),
     (["verify", "--surface", "clifford", "--tol", "nan"],
      "tol must be finite and non-negative"),
+    (["verify", "--surface", "clifford", "--solver-tol", "nan"],
+     "solver_tol must lie in [1e-12, 1e-4]"),
+    (["verify", "--surface", "clifford", "--resolutions", "8,12", "--seed", "-1"],
+     "seed must be a non-negative integer"),
+    # dense (dim 64) and sparse (dim 1024) eigensolver paths
+    (["spectrum", "--surface", "clifford", "--resolution", "8", "--seed", "-1"],
+     "seed must be a non-negative integer"),
+    (["spectrum", "--surface", "clifford", "--resolution", "32", "--seed", "-1"],
+     "seed must be a non-negative integer"),
 ]
 
 

@@ -43,6 +43,10 @@ def test_input_validation(ops64):
     # Large problems must keep the block thin.
     with pytest.raises(ValueError, match="k"):
         solve_lowest(ops64, ops64.dim // 2)
+    # Both paths reject a negative seed.
+    for ops in ((S, M), ops64):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            solve_lowest(ops, 2, seed=-1)
 
 
 def test_indefinite_mass_rejected():
@@ -137,11 +141,12 @@ def test_permutation_invariance(ops32):
     assert np.abs(ref.eigenvalues - per.eigenvalues).max() < 10.0 * 1e-9
 
 
-def test_nonconvergence_carries_best_spectrum(ops64):
+def test_nonconvergence_carries_best_spectrum(ops64, monkeypatch):
     # One ARPACK restart converges only part of the wanted pairs; the error
     # keeps those, each with its residual certificate.
+    monkeypatch.setattr(eigen, "_MAXITER", 1)
     with pytest.raises(NonConvergence) as info:
-        solve_lowest(ops64, 6, deflate_constants=False, maxiter=1)
+        solve_lowest(ops64, 6, deflate_constants=False)
     err = info.value
     assert isinstance(err, SolverError)
     assert err.spectrum is not None

@@ -53,7 +53,7 @@ def _coo_reference(m):
     """Element-by-element COO assembly of (S, M), duplicates summed by scipy."""
     V, F = m.vertices, m.faces
     n = m.vertex_count
-    areas = mesh.face_areas(V, F)
+    areas = mesh.face_geometry(V, F)[5]
     s_rows, s_cols, s_vals = [], [], []
     for i in range(3):
         a, b, c = F[:, i], F[:, (i + 1) % 3], F[:, (i + 2) % 3]
@@ -118,7 +118,8 @@ def _per_corner_cot_stiffness(m, ops):
 @pytest.mark.parametrize("maker", [lambda: mesh.generate_torus(3),
                                    lambda: mesh.generate_torus(16),
                                    lambda: mesh.generate_sphere(0),
-                                   lambda: mesh.generate_sphere(2)])
+                                   lambda: mesh.generate_sphere(2)],
+                         ids=["torus3", "torus16", "sphere0", "sphere2"])
 def test_stiffness_bit_equals_per_corner_cotangents(maker):
     m = maker()
     ops = assemble(m)
@@ -201,7 +202,7 @@ def test_energy_matches_face_gradients(ops32, torus32):
     rng = np.random.default_rng(5)
     u = rng.normal(size=ops32.dim)
     quad = float(u @ (ops32.stiffness @ u))
-    areas = mesh.face_areas(torus32.vertices, torus32.faces)
+    areas = mesh.face_geometry(torus32.vertices, torus32.faces)[5]
     total = float(np.sum(areas * face_gradient_sq(torus32, u)))
     assert quad == pytest.approx(total, rel=1e-12)
 

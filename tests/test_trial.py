@@ -13,25 +13,24 @@ from eigenmin.trial import (
     orthogonality_defect,
     sweep_beta,
     sweep_csv,
-    truncation_gradient_sq,
     truncation_profile,
 )
 
 TORUS = canonical.clifford_torus()
-SPHERE = canonical.equatorial_sphere(2)
 
 
 def _params(coord=1, base=(0.0, 0.0), beta=1.0):
     return TruncationParams(coord, np.asarray(base, dtype=float), beta)
 
 
-def test_params_validation():
+def test_params_validation(torus16):
     with pytest.raises(ValueError):
         _params(beta=0.0)
     with pytest.raises(ValueError):
         _params(beta=-2.0)
-    with pytest.raises(ValueError):
-        _params(coord=0)
+    for coord in (0, 5):
+        with pytest.raises(ValueError, match=r"coordinate index must be in 1\.\.4"):
+            build_truncation(torus16, _params(coord=coord))
     for beta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             _params(beta=beta)
@@ -65,75 +64,6 @@ def test_truncation_approaches_coordinate(torus64):
     assert np.max(np.abs(u - x)) <= 1.0 / math.sqrt(2.0) / 1e9 + 1e-300
 
 
-def test_gradient_cut_locus_rejected():
-    with pytest.raises(ValueError, match="cut locus"):
-        truncation_gradient_sq(TORUS, _params(), np.array([math.pi, 0.0]))
-    p0 = np.array([1.0, 0.0, 0.0, 0.0])
-    antipode = -p0
-    with pytest.raises(ValueError, match="cut locus"):
-        truncation_gradient_sq(SPHERE, TruncationParams(1, p0, 2.0), antipode)
-
-
-def _fd_value(surface, params, p):
-    x = canonical.embed(surface, p)[params.coord_index - 1]
-    d = canonical.geodesic_distance(surface, p, params.base_point)
-    arg = params.beta * d * d
-    phi = 1.0 - (math.exp(-arg) if arg < 700.0 else 0.0) / params.beta
-    return float(x * phi)
-
-
-def test_torus_gradient_matches_finite_differences():
-    rng = np.random.default_rng(21)
-    params = _params(coord=2, base=(0.4, -1.1), beta=3.0)
-    h = 1e-6
-    checked = 0
-    while checked < 40:
-        p = rng.uniform(-math.pi, math.pi, size=2)
-        delta = canonical.torus_angle_deltas(p, params.base_point)
-        if np.min(np.abs(np.abs(delta) - math.pi)) < 0.05:
-            continue
-        analytic = truncation_gradient_sq(TORUS, params, p)
-        dth = (_fd_value(TORUS, params, p + [h, 0]) - _fd_value(TORUS, params, p - [h, 0])) / (2 * h)
-        dph = (_fd_value(TORUS, params, p + [0, h]) - _fd_value(TORUS, params, p - [0, h])) / (2 * h)
-        fd = 2.0 * (dth * dth + dph * dph)
-        assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        checked += 1
-
-
-def test_sphere_gradient_matches_finite_differences():
-    rng = np.random.default_rng(22)
-    base = np.array([1.0, 0.0, 0.0, 0.0])
-    params = TruncationParams(3, base, 2.5)
-    h = 1e-6
-    checked = 0
-    while checked < 40:
-        v = rng.normal(size=4)
-        v[3] = 0.0
-        p = v / np.linalg.norm(v)
-        d = canonical.geodesic_distance(SPHERE, p, base)
-        if d < 0.1 or d > math.pi - 0.1:
-            continue
-        # Orthonormal tangent frame inside the equatorial slice.
-        e = rng.normal(size=4)
-        e[3] = 0.0
-        t1 = e - (e @ p) * p
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(p[:3], t1[:3])
-        t2 = np.concatenate([t2, [0.0]])
-        grads = []
-        for t in (t1, t2):
-            plus = math.cos(h) * p + math.sin(h) * t
-            minus = math.cos(h) * p - math.sin(h) * t
-            grads.append(
-                (_fd_value(SPHERE, params, plus) - _fd_value(SPHERE, params, minus))
-                / (2 * h)
-            )
-        fd = grads[0] ** 2 + grads[1] ** 2
-        analytic = truncation_gradient_sq(SPHERE, params, p)
-        assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        checked += 1
-
-
 def test_orthogonality_defect(ops64, torus64):
     x1 = torus64.vertices[:, 0]
     assert orthogonality_defect(ops64, x1) < 1e-10
@@ -159,8 +89,9 @@ def test_sweep_validation(torus32, ops32):
         sweep_beta(torus32, ops32, base, [-1.0, 2.0])
     with pytest.raises(ValueError):
         sweep_beta(torus32, ops32, base, [])
-    with pytest.raises(ValueError, match="coord_index"):
-        sweep_beta(torus32, ops32, _params(coord=5), [1.0])
+    for coord in (0, 5):
+        with pytest.raises(ValueError, match=r"coordinate index must be in 1\.\.4"):
+            sweep_beta(torus32, ops32, _params(coord=coord), [1.0])
 
 
 def test_sweep_invariants_torus(torus32, ops32):
