@@ -24,8 +24,6 @@ __all__ = [
     "coordinate_function",
     "rayleigh",
     "project_mean_zero",
-    "mean_curvature",
-    "vertex_normals",
     "willmore_energy",
     "takahashi_residual",
     "face_gradient_sq",
@@ -140,84 +138,19 @@ def project_mean_zero(ops: FemOperators, u):
     return v - shift
 
 
-def _face_normals(mesh, B, C):
-    """Unit normal of each face within the tangent space of the 3-sphere.
-
-    B and C are the face edge vectors from ``face_geometry``.  In four
-    ambient dimensions a triangle has a 2-plane of directions orthogonal to
-    it; the face normal used here is the generalized cross product of
-    (centroid, B, C), the unique direction orthogonal to both edges and to
-    the radial direction at the centroid.
-    """
-    V, F = mesh.vertices, mesh.faces
-    A = (V[F[:, 0]] + V[F[:, 1]] + V[F[:, 2]]) / 3.0
-
-    def det3(i, j, k):
-        return (
-            A[:, i] * (B[:, j] * C[:, k] - B[:, k] * C[:, j])
-            - A[:, j] * (B[:, i] * C[:, k] - B[:, k] * C[:, i])
-            + A[:, k] * (B[:, i] * C[:, j] - B[:, j] * C[:, i])
-        )
-
-    n = np.stack([det3(1, 2, 3), -det3(0, 2, 3), det3(0, 1, 3), -det3(0, 1, 2)], axis=1)
-    norms = np.linalg.norm(n, axis=1, keepdims=True)
-    if np.any(norms <= _AREA_FLOOR):
-        raise MeshError("degenerate face %d has no well-defined normal"
-                        % int(np.nonzero(norms.ravel() <= _AREA_FLOOR)[0][0]))
-    return n / norms
-
-
-def vertex_normals(mesh: TriMesh) -> np.ndarray:
-    """Area-weighted vertex normals, tangent to the 3-sphere, consistent sign.
-
-    The orientation of the face list fixes the field up to one global sign;
-    that sign is pinned by requiring the first sufficiently nonzero entry of
-    vertex 0's normal, scanned in coordinate order 3, 4, 1, 2, to be positive.
-    """
-    if mesh.vertices.shape[1] != 4:
-        raise ValueError("vertex normals are defined for 4-dimensional ambient meshes")
-    u, v, _, _, _, areas = face_geometry(mesh.vertices, mesh.faces)
-    fn = _face_normals(mesh, u, v)
-    vn = np.zeros_like(mesh.vertices)
-    for k in range(3):
-        np.add.at(vn, mesh.faces[:, k], fn * areas[:, None])
-    # keep the field tangent to the unit 3-sphere
-    vn -= np.einsum("ij,ij->i", vn, mesh.vertices)[:, None] * mesh.vertices
-    norms = np.linalg.norm(vn, axis=1, keepdims=True)
-    if np.any(norms <= _AREA_FLOOR):
-        raise MeshError("vertex %d has no well-defined normal"
-                        % int(np.nonzero(norms.ravel() <= _AREA_FLOOR)[0][0]))
-    vn /= norms
-    for c in (2, 3, 0, 1):
-        if abs(vn[0, c]) > 1e-9:
-            if vn[0, c] < 0:
-                vn = -vn
-            break
-    return vn
-
-
-def mean_curvature(mesh: TriMesh, ops: FemOperators) -> np.ndarray:
-    """Signed discrete mean curvature at each vertex.
-
-    Applies L x = -(lumped mass)^{-1} S x to the coordinate columns, forms
-    w = (L x + 2 x) / 2 and reports its component along the unit normal
-    field from :func:`vertex_normals`.  For a minimal surface w is normal
-    and equals the mean curvature vector, so the report is zero up to
-    discretization; the signed component discards the tangential part,
-    which is pure discretization noise.
-    """
-    if mesh.vertices.shape[1] != 4:
-        raise ValueError("mean curvature is defined for 4-dimensional ambient meshes")
-    Lx = -(ops.stiffness @ mesh.vertices) / ops.mass_lumped[:, None]
-    w = 0.5 * (Lx + 2.0 * mesh.vertices)
-    normals = vertex_normals(mesh)
-    return np.einsum("ij,ij->i", w, normals)
-
-
 def willmore_energy(mesh: TriMesh, ops: FemOperators) -> float:
-    """Integral of (1 + H^2) against the lumped mass."""
-    H = mean_curvature(mesh, ops)
-    return float(np.sum((1.0 + H * H) * ops.mass_lumped))
+    """Integral of (1 + |H|^2) against the lumped mass.
+
+    Applies L x = -(lumped mass)^{-1} S x to the coordinate columns and
+    forms w = (L x + 2 x) / 2.  For a surface in the unit 3-sphere the
+    smooth counterpart of w is the mean curvature vector, which is tangent
+    to the sphere, so |H| is the length of w_T = w - (w.x) x; no normal
+    field is needed.  The radial part of w is pure discretization error.
+    """
+    x = mesh.vertices
+    w = 0.5 * (2.0 * x - (ops.stiffness @ x) / ops.mass_lumped[:, None])
+    w -= np.einsum("ij,ij->i", w, x)[:, None] * x
+    return float(np.sum((1.0 + np.einsum("ij,ij->i", w, w)) * ops.mass_lumped))
 
 
 def takahashi_residual(ops: FemOperators, u, n: int) -> float:

@@ -497,6 +497,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
+    if any(r1 >= r2 for r1, r2 in zip(resolutions, resolutions[1:])):
+        raise ValueError("resolutions must be strictly ascending")
     betas = _check_betas(DEFAULT_BETAS if betas is None else betas)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")

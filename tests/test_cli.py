@@ -471,6 +471,15 @@ USAGE_ERRORS = [
      "solver_tol must lie in [1e-12, 1e-4]"),
     (["verify", "--surface", "clifford", "--resolutions", "8,12", "--seed", "-1"],
      "seed must be a non-negative integer"),
+    # a repeated level, or a coarser one given as the finest
+    (["verify", "--surface", "clifford", "--resolutions", "16,16"],
+     "resolutions must be strictly ascending"),
+    (["verify", "--surface", "clifford", "--resolutions", "32,16"],
+     "resolutions must be strictly ascending"),
+    (["verify", "--surface", "sphere", "--subdivs", "3,3"],
+     "resolutions must be strictly ascending"),
+    (["verify", "--surface", "sphere", "--subdivs", "3,2"],
+     "resolutions must be strictly ascending"),
     # dense (dim 64) and sparse (dim 1024) eigensolver paths
     (["spectrum", "--surface", "clifford", "--resolution", "8", "--seed", "-1"],
      "seed must be a non-negative integer"),

@@ -63,6 +63,23 @@ def test_icosahedron_area_closed_form():
     assert st.vertex_count == 12 and st.face_count == 20 and st.euler_char == 2
 
 
+@pytest.mark.parametrize("maker", [lambda: generate_torus(3),
+                                   lambda: generate_torus(16),
+                                   lambda: generate_sphere(0),
+                                   lambda: generate_sphere(2)],
+                         ids=["torus3", "torus16", "sphere0", "sphere2"])
+def test_mesh_stats_edges_match_all_directed_edges(maker):
+    # mesh_stats takes each undirected edge once; the references norm all
+    # 3F directed edges, so every edge twice, and count distinct pairs.
+    m = maker()
+    f, v = m.faces, m.vertices
+    ends = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    st = mesh_stats(m)
+    assert st.max_edge == float(np.linalg.norm(v[ends[:, 0]] - v[ends[:, 1]], axis=1).max())
+    edge_count = len(np.unique(np.sort(ends, axis=1), axis=0))
+    assert st.euler_char == m.vertex_count - edge_count + m.face_count
+
+
 def test_sphere_subdivision_guards():
     with pytest.raises(MeshError):
         generate_sphere(-1)

@@ -142,6 +142,20 @@ def test_run_all_requires_two_resolutions():
         run_all(TORUS, resolutions=[16])
 
 
+@pytest.mark.parametrize("surface, resolutions", [
+    (TORUS, [16, 16]), (TORUS, [32, 16]), (SPHERE, [3, 3]), (SPHERE, [3, 2]),
+])
+def test_run_all_rejects_levels_out_of_order(surface, resolutions, monkeypatch):
+    # A repeated or coarser "finest" level would yield nan orders and
+    # spurious failures; the error comes before any level is built.
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(verify, "generate", no_level)
+    with pytest.raises(ValueError, match="^resolutions must be strictly ascending$"):
+        run_all(surface, resolutions=resolutions)
+
+
 def test_run_all_torus_defaults(torus_report):
     report, _elapsed = torus_report
     assert report.surface == "clifford"
