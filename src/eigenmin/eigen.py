@@ -20,7 +20,7 @@ runs on that.  The rule reads only the matrix.  It picks RCM on the
 icosphere, whose numbering has a wide envelope (sphere 5: 41.9M entries
 against 1.37M, and a factor of S + M in 0.054 s instead of 0.59 s), and
 keeps the torus grid's order, where RCM would add fill.  The table of
-measurements is at ``_factor``.
+measurements is at ``_order``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .fem import FemOperators
 
@@ -91,8 +88,10 @@ def _pencil(ops):
     if isinstance(ops, FemOperators):
         S, M = ops.stiffness, ops.mass
     else:
+        from scipy.sparse import csr_matrix
+
         S, M = ops
-        S, M = sp.csr_matrix(S, dtype=float), sp.csr_matrix(M, dtype=float)
+        S, M = csr_matrix(S, dtype=float), csr_matrix(M, dtype=float)
     if S.shape != M.shape or S.shape[0] != S.shape[1]:
         raise ValueError("stiffness and mass must be square and same shape")
     if np.any(M.diagonal() <= 0):
@@ -143,22 +142,35 @@ class _Factor:
 #   sphere 6         670M / 11.0M      RCM          7-15  -> 0.37   -    -> 8.7
 #
 # (x -> y: plain MMD, then MMD after the rule's order.)
-def _factor(A):
-    """Sparse LU of the symmetric matrix A with diagonal pivots.
+def _order(A):
+    """Symmetric order of A for its factorization: reverse Cuthill-McKee
+    when that strictly shrinks the envelope, the given order otherwise.
 
-    A is first permuted symmetrically by RCM when that strictly shrinks its
-    envelope, and left in its order otherwise.  The ordering is symmetric
-    and no row is exchanged for stability, so when the factor's perm_r
-    equals its perm_c it is Q A[p][:, p] Q' = L U with U = D L', and the
-    diagonal of U carries the pivots of an LDL' factorization congruent to
-    A: by Sylvester's law they have A's inertia.
+    The rule reads only A's sparsity pattern, so one order serves every
+    matrix S - c M of a pencil.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     natural = np.arange(A.shape[0])
     rcm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    order = rcm if _envelope(A, rcm) < _envelope(A, natural) else natural
-    lu = splu(sp.csc_matrix(A[order][:, order]), permc_spec="MMD_AT_PLUS_A",
+    return rcm if _envelope(A, rcm) < _envelope(A, natural) else natural
+
+
+def _factor(A, order=None):
+    """Sparse LU of the symmetric matrix A with diagonal pivots.
+
+    A is first permuted symmetrically by ``order``, by default ``_order(A)``.
+    The ordering is symmetric and no row is exchanged for stability, so when
+    the factor's perm_r equals its perm_c it is Q A[p][:, p] Q' = L U with
+    U = D L', and the diagonal of U carries the pivots of an LDL'
+    factorization congruent to A: by Sylvester's law they have A's inertia.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    if order is None:
+        order = _order(A)
+    lu = splu(csc_matrix(A[order][:, order]), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     return _Factor(lu, order)
 
@@ -189,14 +201,18 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
 
 
 def _solve_dense(S, M, k, tol, deflate):
+    from scipy.linalg import eigh
+
     try:
-        vals, vecs = scipy.linalg.eigh(S.toarray(), M.toarray())
+        vals, vecs = eigh(S.toarray(), M.toarray())
     except np.linalg.LinAlgError:
         raise ValueError("mass matrix must be symmetric positive definite")
     return _ritz_spectrum(S, M, vals, vecs, k, tol, 1, deflate)
 
 
 def _solve_shift_invert(S, M, k, tol, deflate, dim, seed):
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     lu = _factor(S - _SIGMA * M)
     applications = 0
 
@@ -270,13 +286,13 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
     return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed)
 
 
-def _count_below(S, M, shift):
+def _count_below(S, M, shift, order):
     """Number of eigenvalues of S v = lambda M v below ``shift``.
 
     By Sylvester's law of inertia this is the number of negative pivots of
-    the symmetric factorization of S - shift M.
+    the symmetric factorization of S - shift M, taken in ``order``.
     """
-    lu = _factor(S - shift * M).lu
+    lu = _factor(S - shift * M, order).lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             "the factorization of S - %.12g M left the diagonal; its pivots"
@@ -313,9 +329,10 @@ def morse_index(ops, potential_constant: float, tol: float = 1e-8,
             margin = max(margin, 0.05 * potential_constant)
     lo = potential_constant - margin
     hi = potential_constant - 10.0 * tol
-    index = _count_below(S, M, lo)
+    order = _order(S - lo * M)
+    index = _count_below(S, M, lo, order)
     if hi > lo:
-        banded = _count_below(S, M, hi) - index
+        banded = _count_below(S, M, hi, order) - index
         if banded:
             raise IndeterminateIndex(
                 "%d eigenvalue(s) lie in the margin band [%.6g, %.6g)"

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import MeshError, TriMesh, face_geometry
 
@@ -41,8 +40,8 @@ _ZERO_NORM_TOL = 1e-14
 class FemOperators:
     """Assembled stiffness/mass pair for one mesh."""
 
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: scipy.sparse.csr_matrix
+    mass: scipy.sparse.csr_matrix
     mass_lumped: np.ndarray
     dim: int
 
@@ -74,6 +73,8 @@ def assemble(mesh: TriMesh) -> FemOperators:
     Raises :class:`MeshError` naming the first degenerate face if any
     triangle has (numerically) zero area.
     """
+    from scipy.sparse import csr_matrix
+
     F = mesh.faces
     nv = mesh.vertex_count
     _, _, uu, vv, uv, areas = _checked_geometry(mesh)
@@ -106,8 +107,8 @@ def assemble(mesh: TriMesh) -> FemOperators:
     m_data[diag_slot] = np.bincount(F.ravel(), np.repeat(areas / 6.0, 3),
                                     minlength=nv)
     indices = pattern % nv
-    stiffness = sp.csr_matrix((s_data, indices, indptr), shape=(nv, nv))
-    mass = sp.csr_matrix((m_data, indices, indptr), shape=(nv, nv))
+    stiffness = csr_matrix((s_data, indices, indptr), shape=(nv, nv))
+    mass = csr_matrix((m_data, indices, indptr), shape=(nv, nv))
 
     lumped = np.asarray(mass.sum(axis=1)).ravel()
     return FemOperators(stiffness=stiffness, mass=mass, mass_lumped=lumped, dim=nv)

@@ -152,6 +152,9 @@ def generate_torus(resolution: int) -> TriMesh:
     """
     if resolution < 3:
         raise MeshError("resolution must be at least 3")
+    if resolution > 256:
+        raise MeshError("resolution must be at most 256, the finest torus"
+                        " level in the README's time and memory budget")
     angles = TWO_PI * np.arange(resolution) / resolution
     theta, phi = np.meshgrid(angles, angles, indexing="ij")
     params = np.stack([theta.ravel(), phi.ravel()], axis=1)
@@ -226,8 +229,9 @@ def generate_sphere(subdivisions: int) -> TriMesh:
     """Icosahedral mesh of the equatorial 2-sphere in the slice x_4 = 0."""
     if subdivisions < 0:
         raise MeshError("subdivisions must be nonnegative")
-    if subdivisions > 8:
-        raise MeshError("subdivisions > 8 exceeds the memory guard")
+    if subdivisions > 7:
+        raise MeshError("subdivisions must be at most 7, the finest sphere"
+                        " level in the README's time and memory budget")
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES
     for _ in range(subdivisions):

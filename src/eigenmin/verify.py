@@ -208,8 +208,7 @@ class _Level:
     coords: tuple
 
 
-def _level(surface, r, solver_tol, seed) -> _Level:
-    mesh = generate(surface, r)
+def _level(mesh, solver_tol, seed) -> _Level:
     ops = assemble(mesh)
     coords = tuple(
         mesh.vertices[:, i] for i in range(4)
@@ -487,7 +486,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     while leaving the report well-formed).
     ``solver_tol`` is the eigensolver residual certificate and ``seed``
     its start-vector seed.  Bad inputs raise ValueError before any level is
-    built.  Individual check failures are recorded; infrastructure failures
+    built, and a level finer than the mesh generators allow raises
+    MeshError before any level is solved.  Individual check failures are recorded; infrastructure failures
     (assembly errors, solver non-convergence) propagate.  ``wall_times``
     holds the time spent building the levels, then the time of each check
     group.
@@ -507,7 +507,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
 
     clock = time.perf_counter
     start = clock()
-    levels = tuple(_level(surface, r, solver_tol, seed) for r in resolutions)
+    meshes = [generate(surface, r) for r in resolutions]
+    levels = tuple(_level(m, solver_tol, seed) for m in meshes)
     wall = {"levels": clock() - start}
     run = _Run(surface, levels, betas, tol, solver_tol)
     checks = []

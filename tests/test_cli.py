@@ -413,6 +413,19 @@ USAGE_ERRORS = [
      "--resolution: resolution must be at least 3"),
     (["sweep", "--surface", "sphere", "--subdiv", "-1"],
      "--subdiv: subdivisions must be nonnegative"),
+    # levels beyond the README's time and memory budget
+    (["mesh", "--surface", "clifford", "--resolution", "512"],
+     "--resolution: resolution must be at most 256, the finest torus level"
+     " in the README's time and memory budget"),
+    (["spectrum", "--surface", "sphere", "--subdiv", "8"],
+     "--subdiv: subdivisions must be at most 7, the finest sphere level"
+     " in the README's time and memory budget"),
+    (["verify", "--surface", "clifford", "--resolutions", "16,512"],
+     "resolution must be at most 256, the finest torus level"
+     " in the README's time and memory budget"),
+    (["verify", "--surface", "sphere", "--subdivs", "2,8"],
+     "subdivisions must be at most 7, the finest sphere level"
+     " in the README's time and memory budget"),
     (["spectrum", "--mesh", "{torus}", "--surface", "clifford"],
      "give either --mesh or --surface, not both"),
     (["rayleigh"], "a mesh source is required: --mesh or --surface"),

@@ -261,6 +261,22 @@ def test_morse_index_invariant_under_vertex_renumbering(ops32):
         assert morse_index((S, M), c) == morse_index(ops32, c)
 
 
+def test_morse_index_orders_its_two_shifts_once(monkeypatch, ops32):
+    # S - c M has one sparsity pattern for every shift c, so both inertia
+    # counts factor in the one order computed for the lower shift.
+    orders = []
+    factor = eigen._factor
+
+    def recording(A, order=None):
+        orders.append(order)
+        return factor(A, order)
+
+    monkeypatch.setattr(eigen, "_factor", recording)
+    levels = [lam for lam, _ in canonical.exact_spectrum(canonical.clifford_torus(), 5)]
+    assert morse_index(ops32, 4.0, oracle_levels=levels) == 5
+    assert len(orders) == 2 and orders[0] is orders[1]
+
+
 def test_morse_index_computes_no_eigenpairs(monkeypatch, ops32):
     def forbidden(*args, **kwargs):
         raise AssertionError("morse_index called solve_lowest")

@@ -44,6 +44,8 @@ def test_torus_vertices_on_unit_sphere(torus64):
 def test_torus_resolution_guard():
     with pytest.raises(MeshError):
         generate_torus(2)
+    with pytest.raises(MeshError, match="at most 256, .* time and memory budget"):
+        generate_torus(257)
 
 
 def test_sphere_counts_and_topology(sphere2):
@@ -83,8 +85,8 @@ def test_mesh_stats_edges_match_all_directed_edges(maker):
 def test_sphere_subdivision_guards():
     with pytest.raises(MeshError):
         generate_sphere(-1)
-    with pytest.raises(MeshError):
-        generate_sphere(9)
+    with pytest.raises(MeshError, match="at most 7, .* time and memory budget"):
+        generate_sphere(8)
 
 
 def test_sphere_vertices_in_equatorial_slice(sphere4):

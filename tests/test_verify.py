@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eigenmin import canonical, eigen, verify
+from eigenmin.mesh import MeshError
 from eigenmin.verify import (
     CLAIMS,
     DEFAULT_BETAS,
@@ -156,6 +157,22 @@ def test_run_all_rejects_levels_out_of_order(surface, resolutions, monkeypatch):
         run_all(surface, resolutions=resolutions)
 
 
+@pytest.mark.parametrize("surface, resolutions, message", [
+    (TORUS, [8, 512], "resolution must be at most 256"),
+    (SPHERE, [1, 8], "subdivisions must be at most 7"),
+])
+def test_run_all_rejects_a_level_beyond_the_budget(surface, resolutions, message,
+                                                   monkeypatch):
+    # Every level is meshed before the first one is solved, so a too-fine
+    # last level fails without an eigensolve.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(verify, "solve_lowest", no_solve)
+    with pytest.raises(MeshError, match="^%s, the finest" % message):
+        run_all(surface, resolutions=resolutions)
+
+
 def test_run_all_torus_defaults(torus_report):
     report, _elapsed = torus_report
     assert report.surface == "clifford"
@@ -208,7 +225,8 @@ def test_check_groups_run_alone_on_prebuilt_levels():
     # last to first still gives the report's checks.
     resolutions = [1, 2, 3]
     report = run_all(SPHERE, resolutions=resolutions)
-    levels = tuple(verify._level(SPHERE, r, 1e-8, 0) for r in resolutions)
+    levels = tuple(verify._level(verify.generate(SPHERE, r), 1e-8, 0)
+                   for r in resolutions)
     run = verify._Run(SPHERE, levels, list(DEFAULT_BETAS), 1.0, 1e-8)
     checks = []
     for group in reversed(verify._CHECK_GROUPS.values()):
