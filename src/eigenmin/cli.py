@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import canonical
-from .eigen import NonConvergence, solve_lowest
+from .eigen import NonConvergence, _check_seed, _check_tol, solve_lowest
 from .fem import (
     assemble,
     coordinate_function,
@@ -159,6 +159,8 @@ def cmd_mesh(args):
 
 
 def cmd_spectrum(args):
+    _check_tol(args.tol)
+    _check_seed(args.seed)
     mesh = _load_mesh(args)
     if args.k < 1:
         raise UsageError("--k must be at least 1")
@@ -271,11 +273,13 @@ def cmd_oracle(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="solver start-vector seed (default 0)")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--config", default=None,
                         help="key = value file of flag defaults; flags win")
+    # the eigensolver flag of spectrum and verify
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--seed", type=int, default=0,
+                        help="solver start-vector seed (default 0)")
     surfaces = list(_LEVELS)
     levels = argparse.ArgumentParser(add_help=False)
     for flag, name, default in _LEVELS.values():
@@ -297,7 +301,7 @@ def build_parser():
                        help="generate a canonical mesh and print its stats")
     p.add_argument("--surface", required=True, choices=surfaces)
 
-    p = sub.add_parser("spectrum", parents=[common, source],
+    p = sub.add_parser("spectrum", parents=[common, solver, source],
                        help="solve for the lowest eigenvalues")
     p.add_argument("--k", type=int, default=6, help="eigenpair count (default 6)")
     p.add_argument("--tol", type=float, default=1e-8,
@@ -323,7 +327,7 @@ def build_parser():
     p.add_argument("--profiles", default=None,
                    help="also write per-vertex decay profiles to this CSV")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, solver],
                        help="run the full check suite; exit 1 on failure")
     p.add_argument("--surface", required=True, choices=surfaces)
     for flag, name, _ in _LEVELS.values():

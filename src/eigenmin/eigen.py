@@ -10,8 +10,9 @@ returned residuals from the matrices, so a Spectrum certifies itself:
 ||S v - lambda M v|| / ||M v|| <= tolerance holds for every reported pair.
 
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
-number of eigenvalues below c equals the number of negative pivots of the
-symmetric factorization of S - c M.
+number of eigenvalues below c > 0 is the number of negative pivots of one
+symmetric factorization of S - c M.  The count is exact only away from the
+spectrum; a caller that knows where the exact levels lie picks c there.
 
 Every factorization starts from a reverse Cuthill-McKee (RCM) order of the
 matrix when that order has a strictly smaller envelope than the given one,
@@ -20,7 +21,7 @@ runs on that.  The rule reads only the matrix.  It picks RCM on the
 icosphere, whose numbering has a wide envelope (sphere 5: 41.9M entries
 against 1.37M, and a factor of S + M in 0.054 s instead of 0.59 s), and
 keeps the torus grid's order, where RCM would add fill.  The table of
-measurements is at ``_order``.
+measurements is at ``_factor``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "Spectrum",
     "SolverError",
     "NonConvergence",
-    "IndeterminateIndex",
     "solve_lowest",
     "morse_index",
 ]
@@ -66,10 +66,6 @@ class NonConvergence(SolverError):
     def __init__(self, message, spectrum=None):
         super().__init__(message)
         self.spectrum = spectrum
-
-
-class IndeterminateIndex(SolverError):
-    """An eigenvalue sits inside the margin band around the potential."""
 
 
 @dataclass(frozen=True)
@@ -142,34 +138,24 @@ class _Factor:
 #   sphere 6         670M / 11.0M      RCM          7-15  -> 0.37   -    -> 8.7
 #
 # (x -> y: plain MMD, then MMD after the rule's order.)
-def _order(A):
-    """Symmetric order of A for its factorization: reverse Cuthill-McKee
-    when that strictly shrinks the envelope, the given order otherwise.
-
-    The rule reads only A's sparsity pattern, so one order serves every
-    matrix S - c M of a pencil.
-    """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    natural = np.arange(A.shape[0])
-    rcm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    return rcm if _envelope(A, rcm) < _envelope(A, natural) else natural
-
-
-def _factor(A, order=None):
+def _factor(A):
     """Sparse LU of the symmetric matrix A with diagonal pivots.
 
-    A is first permuted symmetrically by ``order``, by default ``_order(A)``.
+    A is first permuted symmetrically by reverse Cuthill-McKee when that
+    strictly shrinks the envelope, and kept in the given order otherwise.
     The ordering is symmetric and no row is exchanged for stability, so when
     the factor's perm_r equals its perm_c it is Q A[p][:, p] Q' = L U with
     U = D L', and the diagonal of U carries the pivots of an LDL'
     factorization congruent to A: by Sylvester's law they have A's inertia.
     """
     from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
     from scipy.sparse.linalg import splu
 
-    if order is None:
-        order = _order(A)
+    order = np.arange(A.shape[0])
+    rcm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    if _envelope(A, rcm) < _envelope(A, order):
+        order = rcm
     lu = splu(csc_matrix(A[order][:, order]), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     return _Factor(lu, order)
@@ -210,9 +196,10 @@ def _solve_dense(S, M, k, tol, deflate):
     return _ritz_spectrum(S, M, vals, vecs, k, tol, 1, deflate)
 
 
-def _solve_shift_invert(S, M, k, tol, deflate, dim, seed):
+def _solve_shift_invert(S, M, k, tol, deflate, wanted, seed):
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    dim = S.shape[0]
     lu = _factor(S - _SIGMA * M)
     applications = 0
 
@@ -223,7 +210,6 @@ def _solve_shift_invert(S, M, k, tol, deflate, dim, seed):
 
     op_inv = LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
     v0 = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
-    wanted = (k + 1 if deflate else k) + _GUARD_PAIRS
     try:
         vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
                            tol=0, maxiter=_MAXITER)
@@ -281,61 +267,29 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
 
     if dim <= _DENSE_CUTOFF:
         return _solve_dense(S, M, k, tol, deflate_constants)
-    if k * 4 >= dim:
-        raise ValueError("k must satisfy k < dim/4 for large problems")
-    return _solve_shift_invert(S, M, k, tol, deflate_constants, dim, seed)
+    wanted = k + bool(deflate_constants) + _GUARD_PAIRS
+    if wanted >= dim:
+        raise ValueError("k=%d needs %d Ritz pairs; ARPACK computes fewer"
+                         " than dim=%d" % (k, wanted, dim))
+    return _solve_shift_invert(S, M, k, tol, deflate_constants, wanted, seed)
 
 
-def _count_below(S, M, shift, order):
-    """Number of eigenvalues of S v = lambda M v below ``shift``.
-
-    By Sylvester's law of inertia this is the number of negative pivots of
-    the symmetric factorization of S - shift M, taken in ``order``.
-    """
-    lu = _factor(S - shift * M, order).lu
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(
-            "the factorization of S - %.12g M left the diagonal; its pivots"
-            " do not give the inertia" % shift
-        )
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
-def morse_index(ops, potential_constant: float, tol: float = 1e-8,
-                oracle_levels=None) -> int:
+def morse_index(ops, potential_constant: float) -> int:
     """Number of eigenvalues of S v = lambda M v below ``potential_constant``.
 
     This is the index of the quadratic form u'Su - c u'Mu with
-    c = potential_constant.  Counting uses a safety margin
-    max(10 tol, 0.05 * gap), the gap being measured from c down to the
-    largest entry of ``oracle_levels`` strictly below c when levels are
-    supplied.  Discrete eigenvalues in [c - margin, c - 10 tol) cannot be
-    classified and raise IndeterminateIndex; values at or above c - 10 tol
-    count as nonnegative directions, which is the correct reading for a
-    conforming discretization, where discrete eigenvalues approach exact
-    ones from above.  Both counts are inertia counts of a factorization;
-    no eigenpair is computed.
+    c = potential_constant > 0, read as the number of negative pivots of one
+    symmetric factorization of S - c M (Sylvester's law of inertia); no
+    eigenpair is computed.  c <= 0 is rejected: 0 is always an eigenvalue
+    (the constants), and the count at an eigenvalue is not defined.
     """
-    if potential_constant < 0:
-        raise ValueError("potential constant must be nonnegative")
-    _check_tol(tol)
+    if not potential_constant > 0:
+        raise ValueError("potential constant must be positive")
     S, M = _pencil(ops)
-    margin = 10.0 * tol
-    if oracle_levels is not None:
-        below = [lv for lv in oracle_levels if lv < potential_constant - 1e-12]
-        if below:
-            margin = max(margin, 0.05 * (potential_constant - max(below)))
-        else:
-            margin = max(margin, 0.05 * potential_constant)
-    lo = potential_constant - margin
-    hi = potential_constant - 10.0 * tol
-    order = _order(S - lo * M)
-    index = _count_below(S, M, lo, order)
-    if hi > lo:
-        banded = _count_below(S, M, hi, order) - index
-        if banded:
-            raise IndeterminateIndex(
-                "%d eigenvalue(s) lie in the margin band [%.6g, %.6g)"
-                % (banded, lo, hi)
-            )
-    return index
+    lu = _factor(S - potential_constant * M).lu
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            "the factorization of S - %.12g M left the diagonal; its pivots"
+            " do not give the inertia" % potential_constant
+        )
+    return int(np.count_nonzero(lu.U.diagonal() < 0))

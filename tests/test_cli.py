@@ -501,6 +501,20 @@ USAGE_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--surface", "clifford", "--resolution", "8"],
+    ["oracle", "--surface", "sphere"],
+    ["rayleigh", "--surface", "clifford", "--resolution", "8"],
+    ["sweep", "--surface", "clifford", "--resolution", "8"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_usage_error_where_nothing_is_solved(argv, capsys):
+    # Only spectrum and verify run the seeded eigensolver.
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "3"])
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def usage_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("usage")

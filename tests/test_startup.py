@@ -47,8 +47,10 @@ def test_import_loads_no_scipy(module):
 def test_commands_that_solve_nothing_load_no_scipy():
     argvs = [["oracle", "--surface", "sphere"],
              ["mesh", "--surface", "clifford", "--resolution", "8"],
-             ["spectrum", "--surface", "clifford", "--resolution", "8", "--k", "0"]]
-    assert _fresh("eigenmin.cli", argvs) == [[0, 0, 2], []]
+             ["spectrum", "--surface", "clifford", "--resolution", "8", "--k", "0"],
+             ["spectrum", "--surface", "clifford", "--resolution", "8", "--tol", "nan"],
+             ["spectrum", "--surface", "clifford", "--resolution", "8", "--seed", "-1"]]
+    assert _fresh("eigenmin.cli", argvs) == [[0, 0, 2, 2, 2], []]
 
 
 @pytest.mark.parametrize("resolution, solver", [(8, "scipy.linalg"),

@@ -1,6 +1,7 @@
 """Tests for the verification harness: checks, tables, reports."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -232,6 +233,36 @@ def test_check_groups_run_alone_on_prebuilt_levels():
     for group in reversed(verify._CHECK_GROUPS.values()):
         checks = group(run) + checks
     assert checks == report.checks
+
+
+@pytest.fixture(scope="module")
+def torus16_level():
+    return verify._level(verify.generate(TORUS, 16), 1e-8, 0)
+
+
+# Torus 16's level-4 cluster starts at 4.104136; the stiffness is scaled to
+# move it to ``lowest`` (None keeps it).  The margin band below the
+# potential 4 is [3.9, 4 - 1e-7): counted below it, left out above it.
+@pytest.mark.parametrize("lowest, measured, description", [
+    (None, 5.0, "eigenvalue count below the stability potential n + |A|^2 = 4"),
+    (3.95, -1.0, "index could not be classified: 2 eigenvalue(s) lie in the"
+                 " margin band [3.9, 4)"),
+    (3.85, 7.0, "eigenvalue count below the stability potential n + |A|^2 = 4"),
+    (4.0 - 5e-8, 5.0,
+     "eigenvalue count below the stability potential n + |A|^2 = 4"),
+], ids=["unscaled", "banded", "below-band", "above-band"])
+def test_index_check_margin_band(torus16_level, lowest, measured, description):
+    level = torus16_level
+    if lowest is not None:
+        ops = level.ops
+        scale = lowest / eigen.solve_lowest(ops, 5).eigenvalues[4]
+        level = dataclasses.replace(level, ops=dataclasses.replace(
+            ops, stiffness=ops.stiffness * scale))
+    run = verify._Run(TORUS, (level,), list(DEFAULT_BETAS), 1.0, 1e-8)
+    index = verify._index_checks(run)[0]
+    assert (index.id, index.measured, index.expected) == ("C9-index", measured, 5.0)
+    assert index.description == description
+    assert index.passed == (measured == 5.0)
 
 
 def test_zero_tolerance_fails_inexact_checks():
