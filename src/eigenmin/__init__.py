@@ -38,7 +38,7 @@ from .canonical import (  # noqa: E402
 from .eigen import Spectrum, morse_index, solve_lowest  # noqa: E402
 from .fem import FemOperators, assemble  # noqa: E402
 from .mesh import TriMesh, generate, read_mesh, write_mesh  # noqa: E402
-from .trial import TruncationParams, build_truncation, sweep_beta  # noqa: E402
+from .trial import build_truncation, sweep_beta  # noqa: E402
 from .verify import VerificationReport, render_report, run_all  # noqa: E402
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "generate",
     "read_mesh",
     "write_mesh",
-    "TruncationParams",
     "build_truncation",
     "sweep_beta",
     "VerificationReport",

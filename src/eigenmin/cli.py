@@ -26,7 +26,6 @@ from .fem import (
 )
 from .mesh import MeshError, generate, mesh_stats, read_mesh, write_mesh
 from .trial import (
-    TruncationParams,
     _check_betas,
     build_truncation,
     orthogonality_defect,
@@ -116,6 +115,8 @@ def _base_point(args, surface):
         raise UsageError(
             "--p0: expected %d comma-separated components for this surface" % expected
         )
+    if not np.all(np.isfinite(values)):
+        raise UsageError("--p0: components must be finite")
     return np.array(values)
 
 
@@ -192,8 +193,8 @@ def cmd_rayleigh(args):
             raise UsageError("--p0 applies only with --beta")
         u = coordinate_function(mesh, args.coord)
     else:
-        params = TruncationParams(args.coord, _base_point(args, mesh.surface), args.beta)
-        u = build_truncation(mesh, params)
+        u = build_truncation(mesh, args.coord, _base_point(args, mesh.surface),
+                             args.beta)
     ops = assemble(mesh)
     lines = [
         "surface: %s" % mesh.surface.kind,
@@ -220,7 +221,7 @@ def cmd_sweep(args):
         print("warning: duplicate beta values removed", file=sys.stderr)
     p0 = _base_point(args, mesh.surface)
     ops = assemble(mesh)
-    records = sweep_beta(mesh, ops, TruncationParams(args.coord, p0, unique[0]), unique)
+    records = sweep_beta(mesh, ops, args.coord, p0, unique)
     _emit(sweep_csv(records), args.out)
     if args.profiles:
         write_profiles(args.profiles, mesh, args.coord, p0, unique)

@@ -31,7 +31,6 @@ from .fem import (
 )
 from .mesh import MeshStats, TriMesh, generate, mesh_stats
 from .trial import (
-    TruncationParams,
     _check_betas,
     orthogonality_defect,
     sweep_beta,
@@ -325,8 +324,7 @@ def _mean_zero_checks(run: _Run) -> list:
 
 def _sweep_checks(run: _Run) -> list:
     mesh = run.fine.mesh
-    base = TruncationParams(1, run.surface.base_point, run.betas[0])
-    records = sweep_beta(mesh, run.fine.ops, base, run.betas)
+    records = sweep_beta(mesh, run.fine.ops, 1, run.surface.base_point, run.betas)
     sup_x = float(np.abs(mesh.vertices[:, 0]).max())
     excess = max(r.sup_error - sup_x / r.beta for r in records)
     return [make_check(

@@ -439,6 +439,24 @@ USAGE_ERRORS = [
      "--p0: expected 2 comma-separated components for this surface"),
     (["sweep", "--mesh", "{torus}", "--p0", "a,b"],
      "--p0: expected a comma-separated list of numbers"),
+    # a non-finite base point, rejected before the mesh is assembled
+    (["rayleigh", "--mesh", "{torus}", "--beta", "4", "--p0=nan,0"],
+     "--p0: components must be finite"),
+    (["rayleigh", "--mesh", "{torus}", "--beta", "4", "--p0=inf,0"],
+     "--p0: components must be finite"),
+    (["sweep", "--mesh", "{torus}", "--p0=nan,0"],
+     "--p0: components must be finite"),
+    (["sweep", "--mesh", "{torus}", "--p0=0,-inf"],
+     "--p0: components must be finite"),
+    # a beta so small that the quadratic forms of u_beta would overflow
+    (["rayleigh", "--surface", "clifford", "--resolution", "8", "--beta", "1e-300"],
+     "beta 1e-300 is below 1e-100, where the quadratic forms of u_beta overflow"),
+    (["sweep", "--mesh", "{torus}", "--betas", "1e-300"],
+     "--betas: beta 1e-300 is below 1e-100, where the quadratic forms of"
+     " u_beta overflow"),
+    (["verify", "--surface", "clifford", "--resolutions", "8,12",
+      "--betas", "1e-300,1"],
+     "beta 1e-300 is below 1e-100, where the quadratic forms of u_beta overflow"),
     (["sweep", "--mesh", "{torus}", "--betas", "a"],
      "--betas: expected a comma-separated list of numbers"),
     (["sweep", "--mesh", "{torus}", "--betas", "1,inf"],
@@ -532,9 +550,12 @@ def usage_files(tmp_path_factory):
             "level_cfg": str(root / "level.cfg")}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
                          ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
 def test_usage_error(argv, message, usage_files, capsys):
     rc = main([a.format(**usage_files) for a in argv])
     assert rc == EXIT_USAGE
-    assert capsys.readouterr().err == "error: %s\n" % message.format(**usage_files)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message.format(**usage_files)

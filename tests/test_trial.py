@@ -1,5 +1,6 @@
 """Tests for truncated coordinate trial functions and the beta sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from eigenmin import canonical
 from eigenmin.trial import (
     SWEEP_HEADER,
-    TruncationParams,
     build_truncation,
     orthogonality_defect,
     sweep_beta,
@@ -17,29 +17,30 @@ from eigenmin.trial import (
 )
 
 TORUS = canonical.clifford_torus()
+P0 = np.zeros(2)  # the torus base point (theta, phi) = (0, 0)
 
 
-def _params(coord=1, base=(0.0, 0.0), beta=1.0):
-    return TruncationParams(coord, np.asarray(base, dtype=float), beta)
-
-
-def test_params_validation(torus16):
-    with pytest.raises(ValueError):
-        _params(beta=0.0)
-    with pytest.raises(ValueError):
-        _params(beta=-2.0)
+def test_build_truncation_validation(torus16):
+    for beta in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            build_truncation(torus16, 1, P0, beta)
     for coord in (0, 5):
         with pytest.raises(ValueError, match=r"coordinate index must be in 1\.\.4"):
-            build_truncation(torus16, _params(coord=coord))
-    for beta in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            _params(beta=beta)
+            build_truncation(torus16, coord, P0, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_smallest_beta_keeps_quadratic_forms_finite(torus16, ops16):
+    (record,) = sweep_beta(torus16, ops16, 1, P0, [1e-100])
+    assert np.isfinite(dataclasses.astuple(record)).all()
+    with pytest.raises(ValueError, match="beta 5e-101 is below 1e-100"):
+        sweep_beta(torus16, ops16, 1, P0, [5e-101, 1.0])
 
 
 def test_truncation_value_worked_example(torus64):
     # u at the antipodal grid point (pi, pi) with beta = 1, first coordinate:
     # x_1 = -1/sqrt(2), d = pi, u = x_1 (1 - exp(-pi^2)).
-    u = build_truncation(torus64, _params(beta=1.0))
+    u = build_truncation(torus64, 1, P0, 1.0)
     j = int(
         np.argmin(
             np.linalg.norm(torus64.param_coords - np.array([math.pi, math.pi]), axis=1)
@@ -52,14 +53,14 @@ def test_truncation_value_worked_example(torus64):
 
 def test_truncation_vanishes_at_base(torus64):
     # phi(0) = 1 - 1/beta, so u(p0) = x(p0) (1 - 1/beta); with beta = 1 it is 0.
-    u = build_truncation(torus64, _params(beta=1.0))
+    u = build_truncation(torus64, 1, P0, 1.0)
     j = int(np.argmin(np.linalg.norm(torus64.param_coords, axis=1)))
     assert u[j] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_truncation_approaches_coordinate(torus64):
     # For huge beta the perturbation term underflows away from the base point.
-    u = build_truncation(torus64, _params(beta=1e9))
+    u = build_truncation(torus64, 1, P0, 1e9)
     x = torus64.vertices[:, 0]
     assert np.max(np.abs(u - x)) <= 1.0 / math.sqrt(2.0) / 1e9 + 1e-300
 
@@ -75,28 +76,27 @@ def test_orthogonality_defect(ops64, torus64):
         orthogonality_defect(ops64, x1[:-1])
     with pytest.raises(ValueError, match="non-finite"):
         orthogonality_defect(ops64, np.full(ops64.dim, np.nan))
-    u4 = build_truncation(torus64, _params(beta=4.0))
+    u4 = build_truncation(torus64, 1, P0, 4.0)
     assert orthogonality_defect(ops64, u4) == pytest.approx(0.0126135679427, rel=1e-9)
 
 
 def test_sweep_validation(torus32, ops32):
-    base = _params(beta=1.0)
     with pytest.raises(ValueError):
-        sweep_beta(torus32, ops32, base, [1.0, 1.0, 2.0])
+        sweep_beta(torus32, ops32, 1, P0, [1.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        sweep_beta(torus32, ops32, base, [4.0, 2.0])
+        sweep_beta(torus32, ops32, 1, P0, [4.0, 2.0])
     with pytest.raises(ValueError):
-        sweep_beta(torus32, ops32, base, [-1.0, 2.0])
+        sweep_beta(torus32, ops32, 1, P0, [-1.0, 2.0])
     with pytest.raises(ValueError):
-        sweep_beta(torus32, ops32, base, [])
+        sweep_beta(torus32, ops32, 1, P0, [])
     for coord in (0, 5):
         with pytest.raises(ValueError, match=r"coordinate index must be in 1\.\.4"):
-            sweep_beta(torus32, ops32, _params(coord=coord), [1.0])
+            sweep_beta(torus32, ops32, coord, P0, [1.0])
 
 
 def test_sweep_invariants_torus(torus32, ops32):
     betas = [float(2**j) for j in range(11)]
-    records = sweep_beta(torus32, ops32, _params(), betas)
+    records = sweep_beta(torus32, ops32, 1, P0, betas)
     assert [r.beta for r in records] == betas
     xmax = float(np.max(np.abs(torus32.vertices[:, 0])))
     lam1 = 2.01289238760208  # discrete lambda_1 at this resolution
@@ -120,14 +120,13 @@ def test_sweep_invariants_torus(torus32, ops32):
 
 
 def test_sweep_final_value_sphere(sphere4, ops_s4):
-    base = TruncationParams(1, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
-    records = sweep_beta(sphere4, ops_s4, base, [1024.0])
+    records = sweep_beta(sphere4, ops_s4, 1, np.array([1.0, 0.0, 0.0, 0.0]), [1024.0])
     assert records[0].rayleigh_projected == pytest.approx(2.00288672662507, rel=1e-10)
     assert records[0].sup_error == pytest.approx(1.0 / 1024.0, rel=1e-12)
 
 
 def test_sweep_csv_format(torus16, ops16):
-    records = sweep_beta(torus16, ops16, _params(), [1.0, 8.0])
+    records = sweep_beta(torus16, ops16, 1, P0, [1.0, 8.0])
     text = sweep_csv(records)
     lines = text.splitlines()
     assert lines[0] == SWEEP_HEADER
@@ -143,8 +142,7 @@ def test_sweep_csv_format(torus16, ops16):
 
 
 def test_profile_rows_sorted_and_consistent(torus16):
-    params = _params(beta=2.0)
-    rows = truncation_profile(torus16, params)
+    rows = truncation_profile(torus16, 1, P0, 2.0)
     assert rows.shape == (torus16.vertex_count, 5)
     dists = rows[:, 0]
     assert np.all(np.diff(dists) >= 0.0)
@@ -152,8 +150,7 @@ def test_profile_rows_sorted_and_consistent(torus16):
         assert err == pytest.approx(abs(u - x), abs=1e-15)
         assert err == pytest.approx(abs(x) * phi, rel=1e-12, abs=1e-15)
     # u_beta is the truncation build_truncation samples, bit for bit.
-    d = np.asarray(canonical.geodesic_distance(TORUS, torus16.param_coords,
-                                               params.base_point))
+    d = np.asarray(canonical.geodesic_distance(TORUS, torus16.param_coords, P0))
     order = np.lexsort((np.arange(torus16.vertex_count), d))
     assert np.array_equal(rows[:, 0], d[order])
-    assert np.array_equal(rows[:, 2], build_truncation(torus16, params)[order])
+    assert np.array_equal(rows[:, 2], build_truncation(torus16, 1, P0, 2.0)[order])

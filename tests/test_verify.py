@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenmin import canonical, eigen, verify
+from eigenmin import canonical, cli, eigen, trial, verify
 from eigenmin.mesh import MeshError
 from eigenmin.verify import (
     CLAIMS,
@@ -273,6 +273,28 @@ def test_zero_tolerance_fails_inexact_checks():
     # Info rows never fail, exact topology still passes.
     euler = next(c for c in report.checks if c.id == "euler")
     assert euler.passed
+
+
+def test_sup_bound_violation_is_a_failed_check(monkeypatch, capsys):
+    # Move u_beta 1e-9 further from x_1 wherever x_1 != 0, so sup|u_beta - x_1|
+    # exceeds the exact bound max|x_1|/beta by 1e-9.
+    exact = trial._truncation
+
+    def off_by_1e9(beta, d, x):
+        phi, u, _ = exact(beta, d, x)
+        u = u - 1e-9 * np.sign(x)
+        return phi, u, np.abs(u - x)
+
+    monkeypatch.setattr(trial, "_truncation", off_by_1e9)
+    report = run_all(TORUS, resolutions=[8, 12])
+    sup = next(c for c in report.checks if c.id == "C5-sup-bound")
+    assert not sup.passed
+    assert sup.measured == pytest.approx(1e-9, rel=1e-6)
+    rc = cli.main(["verify", "--surface", "clifford", "--resolutions", "8,12"])
+    assert rc == cli.EXIT_VERIFY_FAIL
+    out, err = capsys.readouterr()
+    assert any(line.startswith("FAIL C5-sup-bound") for line in out.splitlines())
+    assert "Traceback" not in err
 
 
 def test_report_rendering_deterministic(torus_report):
