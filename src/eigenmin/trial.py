@@ -202,7 +202,14 @@ def _pooled_profile_rows(job):
     return _profile_rows(_worker_state, job)
 
 
-def _usable_cpus():
+def _fork_cpus():
+    """CPUs that forked workers may use: the ones this process may run on,
+    or 1 where the ``fork`` start method is missing.  The profile writer and
+    ``verify.run_all`` split their work only when this is at least 2 (verify
+    also needs room for two BLAS pools); each looks it up on this module,
+    so one patch governs both."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
@@ -211,9 +218,9 @@ def _usable_cpus():
 
 def _profile_workers(jobs, rows):
     """Worker processes for the profile writer; 1 formats in this process."""
-    if rows < _PROFILE_POOL_ROWS or "fork" not in multiprocessing.get_all_start_methods():
+    if rows < _PROFILE_POOL_ROWS:
         return 1
-    return min(_usable_cpus(), jobs)
+    return min(_fork_cpus(), jobs)
 
 
 def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:

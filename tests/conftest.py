@@ -89,4 +89,4 @@ def pooled_profiles(monkeypatch):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the fork start method is not available")
     monkeypatch.setattr(trial, "_PROFILE_POOL_ROWS", 0)
-    monkeypatch.setattr(trial, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trial, "_fork_cpus", lambda: 2)

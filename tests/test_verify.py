@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -221,14 +223,27 @@ def test_wall_times_cover_checks(torus_report):
     assert all(t >= 0.0 for t in report.wall_times.values())
 
 
+def _inline_level(surface, resolution):
+    """One level built and solved here, outside run_all."""
+    mesh = verify.generate(surface, resolution)
+    ops = verify.assemble(mesh)
+    return verify._level(mesh, ops, eigen.solve_lowest(ops, 6))
+
+
+def _inline_run(surface, levels):
+    """A _Run over prebuilt levels, with the finest level's index counts
+    taken here at the default solver tolerance."""
+    counts = tuple(eigen.morse_index(levels[-1].ops, shift)
+                   for shift in verify._index_shifts(surface, 1e-8))
+    return verify._Run(surface, levels, list(DEFAULT_BETAS), 1.0, 1e-8, counts)
+
+
 def test_check_groups_run_alone_on_prebuilt_levels():
     # Each group needs only the prebuilt levels, so calling the groups
     # last to first still gives the report's checks.
     resolutions = [1, 2, 3]
     report = run_all(SPHERE, resolutions=resolutions)
-    levels = tuple(verify._level(verify.generate(SPHERE, r), 1e-8, 0)
-                   for r in resolutions)
-    run = verify._Run(SPHERE, levels, list(DEFAULT_BETAS), 1.0, 1e-8)
+    run = _inline_run(SPHERE, tuple(_inline_level(SPHERE, r) for r in resolutions))
     checks = []
     for group in reversed(verify._CHECK_GROUPS.values()):
         checks = group(run) + checks
@@ -237,7 +252,7 @@ def test_check_groups_run_alone_on_prebuilt_levels():
 
 @pytest.fixture(scope="module")
 def torus16_level():
-    return verify._level(verify.generate(TORUS, 16), 1e-8, 0)
+    return _inline_level(TORUS, 16)
 
 
 # Torus 16's level-4 cluster starts at 4.104136; the stiffness is scaled to
@@ -258,8 +273,7 @@ def test_index_check_margin_band(torus16_level, lowest, measured, description):
         scale = lowest / eigen.solve_lowest(ops, 5).eigenvalues[4]
         level = dataclasses.replace(level, ops=dataclasses.replace(
             ops, stiffness=ops.stiffness * scale))
-    run = verify._Run(TORUS, (level,), list(DEFAULT_BETAS), 1.0, 1e-8)
-    index = verify._index_checks(run)[0]
+    index = verify._index_checks(_inline_run(TORUS, (level,)))[0]
     assert (index.id, index.measured, index.expected) == ("C9-index", measured, 5.0)
     assert index.description == description
     assert index.passed == (measured == 5.0)
@@ -295,6 +309,16 @@ def test_sup_bound_violation_is_a_failed_check(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert any(line.startswith("FAIL C5-sup-bound") for line in out.splitlines())
     assert "Traceback" not in err
+
+
+def test_sup_bound_margin_scales_with_a_bound_above_one():
+    # At beta = 1e-50 the bound max|x_1|/beta is about 7e49, and sup|u_beta - x_1|
+    # may exceed it by a rounding unit of 1e34; the margin is relative there.
+    report = run_all(TORUS, resolutions=[8, 12], betas=[1e-50, 1.0])
+    sup = next(c for c in report.checks if c.id == "C5-sup-bound")
+    assert sup.passed
+    assert sup.measured <= 1e-15
+    assert ", divided by the bound where it exceeds 1 (" in sup.description
 
 
 def test_report_rendering_deterministic(torus_report):
@@ -344,17 +368,155 @@ def test_run_all_sphere_small_structure():
     assert text.startswith(REPORT_VERSION)
 
 
-def test_run_all_solves_each_level_once(monkeypatch):
+@pytest.fixture
+def fork_cpus(monkeypatch):
+    """Set the CPU count that decides whether run_all splits its solves
+    across a forked child (2) or runs them in this process (1), with a BLAS
+    width of 1 as the split needs."""
+    def set_cpus(cpus):
+        if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the fork start method is not available")
+        monkeypatch.setattr(trial, "_fork_cpus", lambda: cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called os.fork, in call order."""
+    calls = []
+    real_fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_solves_each_level_once(monkeypatch, tmp_path, fork_cpus):
     # One spectrum per level serves C1/C2, C9 and C10; the Morse index
-    # counts pivots instead of solving again.
-    dims = []
+    # counts pivots on the finest operators instead of solving again.  The
+    # calls are appended to a file, so those of the forked child count too;
+    # the child is a copy of this process, so ids name the same operators.
+    fork_cpus(2)
+    log = tmp_path / "calls"
+    real_solve, real_index = eigen.solve_lowest, eigen.morse_index
+
+    def logged(name, real):
+        def call(ops, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write("%s %d %d\n" % (name, ops.dim, id(ops)))
+            return real(ops, *args, **kwargs)
+        return call
+
+    for module in (verify, eigen):
+        monkeypatch.setattr(module, "solve_lowest", logged("solve", real_solve))
+        monkeypatch.setattr(module, "morse_index", logged("index", real_index))
+    run_all(TORUS, resolutions=[8, 16, 32])
+    calls = [line.split() for line in log.read_text().splitlines()]
+    solves = {int(dim): ops for name, dim, ops in calls if name == "solve"}
+    assert sorted(int(dim) for name, dim, _ in calls if name == "solve") == [64, 256, 1024]
+    assert [ops for name, _, ops in calls if name == "index"] == [solves[1024]] * 2
+
+
+@pytest.mark.parametrize("surface", [TORUS, SPHERE], ids=["torus", "sphere"])
+def test_split_and_inline_reports_are_byte_equal(surface, fork_cpus, forks):
+    reports = []
+    for cpus in (2, 1):
+        fork_cpus(cpus)
+        reports.append(run_all(surface))
+    assert forks == [os.getpid()]
+    split, inline = reports
+    assert render_report(split) == render_report(inline)
+    assert report_csv(split) == report_csv(inline)
+    _no_child_left()
+
+
+def test_split_and_inline_solves_are_bit_identical(fork_cpus):
+    # Shifts on either side of the torus's lambda_1 = 2 cluster tell the
+    # two counts apart: the constants below 1, four more below 3.
+    opss = [verify.assemble(verify.generate(TORUS, r)) for r in (8, 16, 32)]
+    results = []
+    for cpus in (2, 1):
+        fork_cpus(cpus)
+        results.append(verify._solve(opss, (1.0, 3.0), 1e-8, 0))
+    (split, split_counts), (inline, inline_counts) = results
+    assert split_counts == inline_counts == (1, 5)
+    for a, b in zip(split, inline):
+        for field in ("eigenvalues", "eigenvectors", "residuals"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("cpus, env, expected", [
+    (2, {}, 0), (2, {"OPENBLAS_NUM_THREADS": "1"}, 1), (1, {"OMP_NUM_THREADS": "1"}, 0),
+    (4, {"OMP_NUM_THREADS": "2"}, 1), (4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 0),
+], ids=["default-width", "width-1", "one-cpu", "omp-2-of-4", "openblas-first"])
+def test_split_needs_cpus_for_two_blas_pools(cpus, env, expected, forks, monkeypatch):
+    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is not available")
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(trial, "_fork_cpus", lambda: cpus)
+    run_all(TORUS, resolutions=[8, 12])
+    assert len(forks) == expected
+    _no_child_left()
+
+
+def _fail_solve_at(monkeypatch, dim, exc):
     real = eigen.solve_lowest
 
-    def counting(ops, *args, **kwargs):
-        dims.append(ops.dim)
+    def failing(ops, *args, **kwargs):
+        if ops.dim == dim:
+            raise exc
         return real(ops, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "solve_lowest", counting)
-    monkeypatch.setattr(eigen, "solve_lowest", counting)
-    run_all(TORUS, resolutions=[8, 16, 32])
-    assert sorted(dims) == [64, 256, 1024]
+    monkeypatch.setattr(verify, "solve_lowest", failing)
+
+
+def test_child_nonconvergence_exits_3_like_inline(fork_cpus, monkeypatch, capsys):
+    # Torus 8 is solved in the child on the split path.
+    partial = eigen.solve_lowest(verify.assemble(verify.generate(TORUS, 8)), 6)
+    _fail_solve_at(monkeypatch, 64, eigen.NonConvergence("stalled at 64", partial))
+    argv = ["verify", "--surface", "clifford", "--resolutions", "8,16,32"]
+    errors = []
+    for cpus in (2, 1):
+        fork_cpus(cpus)
+        assert cli.main(argv) == cli.EXIT_SOLVER
+        errors.append(capsys.readouterr().err)
+        _no_child_left()
+    assert errors == ["error: solver did not converge: stalled at 64\n"] * 2
+    fork_cpus(2)
+    with pytest.raises(eigen.NonConvergence, match="^stalled at 64$") as info:
+        run_all(TORUS, resolutions=[8, 16, 32])
+    np.testing.assert_array_equal(info.value.spectrum.eigenvalues, partial.eigenvalues)
+    _no_child_left()
+
+
+def test_child_that_dies_is_a_solver_error(fork_cpus, monkeypatch):
+    # A child that ends without sending a result, as under the OOM killer,
+    # is reported with its exit code.
+    fork_cpus(2)
+    monkeypatch.setattr(verify, "morse_index", lambda ops, shift: os._exit(7))
+    with pytest.raises(eigen.SolverError, match=r"sent no result \(exit code 7\)$"):
+        run_all(TORUS, resolutions=[8, 16, 32])
+    _no_child_left()
+
+
+def test_parent_solve_failure_reaps_the_child(fork_cpus, monkeypatch):
+    # Torus 32, the finest level, is solved in this process.
+    fork_cpus(2)
+    _fail_solve_at(monkeypatch, 1024, RuntimeError("finest solve failed"))
+    with pytest.raises(RuntimeError, match="^finest solve failed$"):
+        run_all(TORUS, resolutions=[8, 16, 32])
+    _no_child_left()
