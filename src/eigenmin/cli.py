@@ -3,7 +3,8 @@
 Every command is deterministic for a fixed seed and prints floats with
 round-trip precision, so reruns produce byte-identical output.  Timing
 goes to stderr only.  Exit codes: 0 success (or all checks passed), 1
-verification failure, 2 usage or I/O error, 3 solver non-convergence.
+verification failure, 2 usage or I/O error, 3 solver failure (among them
+non-convergence).
 
 A config file given with --config holds one 'key = value' pair per line
 (the keys are the long flag names without dashes); explicit flags win.
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import canonical
-from .eigen import NonConvergence, _check_seed, _check_tol, solve_lowest
+from .eigen import NonConvergence, SolverError, _check_seed, _check_tol, solve_lowest
 from .fem import (
     assemble,
     coordinate_function,
@@ -413,8 +414,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergence as exc:
-        print("error: solver did not converge: %s" % exc, file=sys.stderr)
+    except SolverError as exc:
+        what = "did not converge" if isinstance(exc, NonConvergence) else "failed"
+        print("error: solver %s: %s" % (what, exc), file=sys.stderr)
         return EXIT_SOLVER
 
 

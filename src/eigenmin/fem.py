@@ -25,7 +25,6 @@ __all__ = [
     "project_mean_zero",
     "willmore_energy",
     "takahashi_residual",
-    "face_gradient_sq",
     "coordinate_gradient_identity",
 ]
 
@@ -182,12 +181,6 @@ def _gradient_sq(faces, geometry, v) -> np.ndarray:
     a = (vv * d1 - uv * d2) / det
     b = (uu * d2 - uv * d1) / det
     return a * a * uu + 2.0 * a * b * uv + b * b * vv
-
-
-def face_gradient_sq(mesh: TriMesh, u) -> np.ndarray:
-    """Squared norm of the piecewise-constant gradient of ``u`` per face."""
-    v = _values(u, mesh.vertex_count)
-    return _gradient_sq(mesh.faces, _checked_geometry(mesh), v)
 
 
 def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:

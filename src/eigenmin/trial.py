@@ -10,13 +10,14 @@ the sweep CSV (``sweep_csv``) and the decay-profile file (``write_profiles``).
 
 from __future__ import annotations
 
+import contextlib
 import math
-import multiprocessing
-import os
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .canonical import geodesic_distance
 from .fem import (
     FemOperators,
@@ -161,20 +162,8 @@ def truncation_profile(mesh: TriMesh, coord: int, p0, beta: float) -> np.ndarray
     return np.stack([d, phi, u, x, err], axis=1)
 
 
-# Profile files with fewer rows (vertices x betas) than this are formatted in
-# this process: forking the workers and returning their chunks costs more
-# than it saves.  Median times of 11-beta profiles on 2 vCPUs, pooled against
-# inline: torus 64 (45k rows) 0.21 s / 0.18 s, torus 96 (101k) 0.37 s /
-# 0.38 s, torus 128 (180k) 0.52 s / 0.66 s, torus 256 (721k) 1.34 s / 2.06 s.
-_PROFILE_POOL_ROWS = 100_000
-
-# Row slices per beta.  Small chunks keep the parent's queue of formatted
-# results, and with it its peak memory, small.
+# Row slices per beta, the unit that the writer and its forked child share out.
 _PROFILE_SLICES = 8
-
-# Set by the pool initializer in a forked worker only; the parent never
-# holds it.
-_worker_state = None
 
 
 def _profile_rows(state, job):
@@ -193,65 +182,45 @@ def _profile_rows(state, job):
     return (row * (stop - start)) % tuple(cells.ravel().tolist())
 
 
-def _init_profile_worker(state):
-    global _worker_state
-    _worker_state = state
-
-
-def _pooled_profile_rows(job):
-    return _profile_rows(_worker_state, job)
-
-
-def _fork_cpus():
-    """CPUs that forked workers may use: the ones this process may run on,
-    or 1 where the ``fork`` start method is missing.  The profile writer and
-    ``verify.run_all`` split their work only when this is at least 2 (verify
-    also needs room for two BLAS pools); each looks it up on this module,
-    so one patch governs both."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-def _profile_workers(jobs, rows):
-    """Worker processes for the profile writer; 1 formats in this process."""
-    if rows < _PROFILE_POOL_ROWS:
-        return 1
-    return min(_fork_cpus(), jobs)
-
-
 def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     """Write the decay profiles as CSV, one block of distance-sorted rows per
     beta (the rows of ``truncation_profile``, beta first).
 
     Distance, x_i and their strings are made once per sweep.  Each block is
-    cut into row slices that format independently; above a size threshold a
-    fork pool formats them and ``imap`` returns them in order, so the bytes
-    do not depend on the number of workers.  The workers inherit the columns
-    through fork instead of receiving them per task; a spawned worker would
-    import the package again and need them pickled.  They run elementwise
-    numpy and ``repr`` only, no BLAS.
+    cut into row slices that format independently.  Where a second CPU is
+    usable (``_fork.cpus``), this process writes slices from the first while
+    one forked child formats them from the last; where they meet, the child
+    returns its tail in one message.  Small betas cost up to five times as
+    much, so that is where the work is even, not the middle.  The child runs
+    elementwise numpy and ``repr`` only, no BLAS.
     """
     block = truncation_profile(mesh, coord, p0, betas[0])
     # contiguous columns, so every slice takes the same numpy loops as the whole
     state = (block[:, 0].copy(), block[:, 3].copy(),
              repr_floats(block[:, [0, 3]]).reshape(-1, 2))
-    n = len(block)
-    edges = [n * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
+    edges = [len(block) * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
     jobs = [(beta, start, stop) for beta in betas
             for start, stop in zip(edges, edges[1:]) if start < stop]
-    workers = _profile_workers(len(jobs), n * len(betas))
-    with open(path, "w", encoding="ascii") as fh:
+    # Where the head ends and the tail starts, shared with the child.  Each
+    # end takes a slice only while the other has not passed it, so both may
+    # format the slice where they meet, and neither skips one.
+    ends = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    ends[:] = 0, len(jobs)
+
+    def tail():
+        rows = []
+        while ends[1] > ends[0]:
+            rows.append(_profile_rows(state, jobs[ends[1] - 1]))
+            ends[1] -= 1
+        return int(ends[1]), rows[::-1]
+
+    # Fork before the file is opened, so the child holds no handle to it.
+    # Without a child, this process takes every slice and the tail none.
+    forked = _fork.child(tail) if _fork.cpus() >= 2 else contextlib.nullcontext(tail)
+    with forked as formatted, open(path, "w", encoding="ascii") as fh:
         fh.write(PROFILES_HEADER + "\n")
-        if workers == 1:
-            fh.writelines(_profile_rows(state, job) for job in jobs)
-            return
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, _init_profile_worker, (state,))
-        with pool:
-            fh.writelines(pool.imap(_pooled_profile_rows, jobs))
-            pool.close()
-            pool.join()
+        while ends[0] < ends[1]:
+            fh.write(_profile_rows(state, jobs[ends[0]]))
+            ends[0] += 1
+        start, rows = formatted()
+        fh.writelines(rows[ends[0] - start:])

@@ -22,13 +22,12 @@ import csv
 import io
 import math
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, trial
+from . import _fork, canonical
 from .canonical import CanonicalSurface
 from .eigen import (
     SolverError,
@@ -251,14 +250,10 @@ def _solve(opss, shifts, solver_tol, seed):
     below each of ``shifts``.
 
     The factorizations behind these do not depend on each other.  When the
-    CPUs for forked workers (``trial._fork_cpus``) hold two BLAS pools,
-    this process solves the finest pencil while one forked child counts the
-    inertias and then solves the coarser pencils; the child pickles its
-    results, or its exception, back through a pipe.  Each computation is
-    the same call on the same matrices either way, so the results are
-    bit-identical.  The child always ends in ``os._exit`` and this process
-    reaps it, also when its own solve raises; that exception then wins over
-    the child's.
+    usable CPUs hold two BLAS pools, this process solves the finest pencil
+    while one forked child (``_fork.child``) counts the inertias and then
+    solves the coarser pencils.  Either way each result is the same call on
+    the same matrices, so its bits are the same.
     """
     def solve(ops):
         return solve_lowest(ops, 6, tol=solver_tol, seed=seed)
@@ -270,7 +265,7 @@ def _solve(opss, shifts, solver_tol, seed):
     # outnumber the CPUs slow both processes down.  On 2 vCPUs at the default
     # width (one thread per CPU), run_all on the torus and the sphere took
     # 0.67 s split against 0.39 s in one process; at width 1, 0.21 s.
-    cpus = trial._fork_cpus()
+    cpus = _fork.cpus()
     if cpus < 2 * _blas_width(cpus):
         return [solve(ops) for ops in opss], counts()
     # The child inherits the modules loaded here.  Loaded in the child, they
@@ -279,36 +274,11 @@ def _solve(opss, shifts, solver_tol, seed):
     import scipy.sparse.csgraph  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the caller
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = True, (counts(), [solve(ops) for ops in opss[:-1]])
-            except BaseException as exc:
-                result = False, exc
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
+    with _fork.child(lambda: (counts(), [solve(ops) for ops in opss[:-1]]),
+                     SolverError) as child:
         fine = solve(opss[-1])
-    finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            message = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    if not message:
-        raise SolverError("the forked solver process sent no result (exit"
-                          " code %d)" % os.waitstatus_to_exitcode(status))
-    ok, value = pickle.loads(message)
-    if not ok:
-        raise value
-    index_counts, coarse = value
-    return coarse + [fine], index_counts
+        index_counts, spectra = child()
+    return spectra + [fine], index_counts
 
 
 @dataclass(frozen=True)

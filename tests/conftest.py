@@ -1,11 +1,11 @@
 """Shared fixtures. Expensive meshes, operators, and spectra are built once per session."""
 
-import multiprocessing
+import os
 import time
 
 import pytest
 
-from eigenmin import canonical, eigen, fem, mesh, trial, verify
+from eigenmin import _fork, canonical, eigen, fem, mesh, verify
 
 
 @pytest.fixture(scope="session")
@@ -84,9 +84,22 @@ def sphere_report():
 
 
 @pytest.fixture
-def pooled_profiles(monkeypatch):
-    """Make `sweep --profiles` format on a two-worker fork pool at any size."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is not available")
-    monkeypatch.setattr(trial, "_PROFILE_POOL_ROWS", 0)
-    monkeypatch.setattr(trial, "_fork_cpus", lambda: 2)
+def forked_profiles(monkeypatch):
+    """Make `sweep --profiles` format half of its rows in a forked child."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called os.fork, in call order."""
+    calls = []
+    real_fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls

@@ -1,13 +1,14 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
-import multiprocessing
 import os
+import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from eigenmin import canonical, cli, mesh, trial, verify
+from eigenmin import _fork, canonical, cli, mesh, trial, verify
 from eigenmin.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -76,7 +77,11 @@ def test_spectrum_deflate_false(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "deflated: false" in out
-    first = float([l for l in out.splitlines() if l and l[0].isdigit()][0].split()[0])
+    # the rows after the table header, whatever the sign of lambda_0
+    lines = out.splitlines()
+    rows = lines[lines.index("eigenvalue residual") + 1:]
+    assert len(rows) == 2
+    first = float(rows[0].split()[0])
     assert abs(first) < 1e-8
 
 
@@ -368,32 +373,105 @@ def _profiles_argv(tmp_path, name):
             "--profiles", str(tmp_path / name)]
 
 
-def test_sweep_profiles_pooled_equals_inline(tmp_path, monkeypatch, pooled_profiles):
-    assert main(_profiles_argv(tmp_path, "pooled.csv")) == EXIT_OK
-    monkeypatch.setattr(trial, "_PROFILE_POOL_ROWS", 10 ** 12)
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_profiles_pooled_equals_inline(tmp_path, monkeypatch, forked_profiles,
+                                             forks):
+    assert main(_profiles_argv(tmp_path, "forked.csv")) == EXIT_OK
+    assert forks == [os.getpid()]
+    monkeypatch.setattr(_fork, "cpus", lambda: 1)
     assert main(_profiles_argv(tmp_path, "inline.csv")) == EXIT_OK
+    assert forks == [os.getpid()]
     inline = (tmp_path / "inline.csv").read_bytes()
     assert len(inline.splitlines()) == 1 + 11 * 64 * 64
-    assert (tmp_path / "pooled.csv").read_bytes() == inline
-    assert multiprocessing.active_children() == []
+    assert (tmp_path / "forked.csv").read_bytes() == inline
+    _no_child_left()
+
+
+@pytest.mark.parametrize("slow", ["parent", "child", "both"])
+def test_sweep_profiles_bytes_do_not_depend_on_where_the_ends_meet(
+        tmp_path, monkeypatch, forked_profiles, slow):
+    # With one end slowed the ends meet near the other; with both slowed
+    # unevenly they meet inside the file.  The slice where they meet is the
+    # only one both may format.
+    parent = os.getpid()
+    real = trial._profile_rows
+    log = tmp_path / "calls"
+
+    def slowed(state, job):
+        here = "parent" if os.getpid() == parent else "child"
+        if slow == here:
+            time.sleep(0.02)
+        elif slow == "both":
+            time.sleep(0.002 * (job[1] % 3))
+        with open(log, "a") as fh:
+            fh.write("%r %d\n" % (job[0], job[1]))
+        return real(state, job)
+
+    argv = ["sweep", "--surface", "clifford", "--resolution", "16",
+            "--out", str(tmp_path / "sweep.csv")]
+    monkeypatch.setattr(_fork, "cpus", lambda: 1)
+    assert main(argv + ["--profiles", str(tmp_path / "inline.csv")]) == EXIT_OK
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
+    monkeypatch.setattr(trial, "_profile_rows", slowed)
+    assert main(argv + ["--profiles", str(tmp_path / "slowed.csv")]) == EXIT_OK
+    inline = (tmp_path / "inline.csv").read_bytes()
+    assert len(inline.splitlines()) == 1 + 11 * 16 * 16
+    assert (tmp_path / "slowed.csv").read_bytes() == inline
+    calls = log.read_text().splitlines()
+    assert len(set(calls)) == 11 * trial._PROFILE_SLICES
+    assert len(calls) <= len(set(calls)) + 1
+    _no_child_left()
 
 
 def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
-                                            pooled_profiles):
+                                            forked_profiles):
     parent = os.getpid()
     real = trial.repr_floats
 
-    def fail_in_worker(values):
+    def fail_in_child(values):
         if os.getpid() != parent:
-            raise ValueError("formatting failed in worker %d" % os.getpid())
+            raise ValueError("formatting failed in child %d" % os.getpid())
         return real(values)
 
-    monkeypatch.setattr(trial, "repr_floats", fail_in_worker)
+    monkeypatch.setattr(trial, "repr_floats", fail_in_child)
     assert main(_profiles_argv(tmp_path, "p.csv")) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error: formatting failed in worker" in err
-    assert "worker %d" % parent not in err
-    assert multiprocessing.active_children() == []
+    assert "error: formatting failed in child" in err
+    assert "child %d" % parent not in err
+    _no_child_left()
+
+
+def test_sweep_profiles_child_that_dies_exits_2(tmp_path, monkeypatch, capsys,
+                                                forked_profiles):
+    # A child that ends without its rows is an error with its exit code, not
+    # a hang: the alarm fails the test if the writer never returns.
+    parent = os.getpid()
+    real = trial._profile_rows
+
+    def die_in_child(state, job):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(state, job)
+
+    def hung(signum, frame):
+        pytest.fail("sweep --profiles hung on a dead child")
+
+    monkeypatch.setattr(trial, "_profile_rows", die_in_child)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        rc = main(_profiles_argv(tmp_path, "p.csv"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the forked process sent no result (exit code 7)\n")
+    _no_child_left()
 
 
 # argv -> the stderr line of a usage error (exit 2).  "{torus}" is a torus

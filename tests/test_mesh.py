@@ -382,7 +382,7 @@ def test_sweep_profiles_golden_bytes(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROFILES))
-def test_sweep_profiles_golden_bytes_pooled(name, tmp_path, pooled_profiles):
+def test_sweep_profiles_golden_bytes_pooled(name, tmp_path, forked_profiles):
     argv, digest = GOLDEN_PROFILES[name]
     assert _profiles_sha256(argv, tmp_path) == digest
 

@@ -4,13 +4,12 @@ import csv
 import dataclasses
 import io
 import math
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from eigenmin import canonical, cli, eigen, trial, verify
+from eigenmin import _fork, canonical, cli, eigen, trial, verify
 from eigenmin.mesh import MeshError
 from eigenmin.verify import (
     CLAIMS,
@@ -374,26 +373,12 @@ def fork_cpus(monkeypatch):
     across a forked child (2) or runs them in this process (1), with a BLAS
     width of 1 as the split needs."""
     def set_cpus(cpus):
-        if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the fork start method is not available")
-        monkeypatch.setattr(trial, "_fork_cpus", lambda: cpus)
+        if cpus > 1 and not hasattr(os, "fork"):
+            pytest.skip("the platform cannot fork")
+        monkeypatch.setattr(_fork, "cpus", lambda: cpus)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
     return set_cpus
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes that called os.fork, in call order."""
-    calls = []
-    real_fork = os.fork
-
-    def counted_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
 
 
 def _no_child_left():
@@ -461,13 +446,13 @@ def test_split_and_inline_solves_are_bit_identical(fork_cpus):
     (4, {"OMP_NUM_THREADS": "2"}, 1), (4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 0),
 ], ids=["default-width", "width-1", "one-cpu", "omp-2-of-4", "openblas-first"])
 def test_split_needs_cpus_for_two_blas_pools(cpus, env, expected, forks, monkeypatch):
-    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is not available")
+    if cpus > 1 and not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(trial, "_fork_cpus", lambda: cpus)
+    monkeypatch.setattr(_fork, "cpus", lambda: cpus)
     run_all(TORUS, resolutions=[8, 12])
     assert len(forks) == expected
     _no_child_left()
@@ -511,6 +496,30 @@ def test_child_that_dies_is_a_solver_error(fork_cpus, monkeypatch):
     with pytest.raises(eigen.SolverError, match=r"sent no result \(exit code 7\)$"):
         run_all(TORUS, resolutions=[8, 16, 32])
     _no_child_left()
+
+
+def test_child_that_dies_exits_3_without_traceback(fork_cpus, monkeypatch, capsys):
+    fork_cpus(2)
+    monkeypatch.setattr(verify, "morse_index", lambda ops, shift: os._exit(7))
+    argv = ["verify", "--surface", "clifford", "--resolutions", "8,16,32"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "error: solver failed: the forked process sent no result (exit code 7)\n")
+    _no_child_left()
+
+
+def test_solver_error_exits_3_on_both_paths(fork_cpus, monkeypatch, capsys):
+    def off_diagonal(ops, shift):
+        raise eigen.SolverError("the factorization of S - c M left the diagonal")
+
+    monkeypatch.setattr(verify, "morse_index", off_diagonal)
+    argv = ["verify", "--surface", "clifford", "--resolutions", "8,16,32"]
+    for cpus in (2, 1):
+        fork_cpus(cpus)
+        assert cli.main(argv) == cli.EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "error: solver failed: the factorization of S - c M left the diagonal\n")
+        _no_child_left()
 
 
 def test_parent_solve_failure_reaps_the_child(fork_cpus, monkeypatch):
