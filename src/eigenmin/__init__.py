@@ -8,20 +8,22 @@ Willmore and volume values, Morse indices) against closed-form oracles.
 """
 
 import os
+import sys
 
 
 def _apply_thread_width():
-    """Honor EIGENMIN_THREADS before any numerics library spins up BLAS."""
-    width = os.environ.get("EIGENMIN_THREADS", "").strip()
-    if width.isdigit() and int(width) > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, width)
+    """One BLAS thread unless a variable below says otherwise; numpy loaded
+    first has already sized its pool, so then the variables stay as they are."""
+    if "numpy" in sys.modules:
+        return
+    for var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ.setdefault(var, "1")
 
 
 _apply_thread_width()

@@ -80,14 +80,8 @@ class Spectrum:
     deflated: bool
 
 
-def _pencil(ops):
-    if isinstance(ops, FemOperators):
-        S, M = ops.stiffness, ops.mass
-    else:
-        from scipy.sparse import csr_matrix
-
-        S, M = ops
-        S, M = csr_matrix(S, dtype=float), csr_matrix(M, dtype=float)
+def _pencil(ops: FemOperators):
+    S, M = ops.stiffness, ops.mass
     if S.shape != M.shape or S.shape[0] != S.shape[1]:
         raise ValueError("stiffness and mass must be square and same shape")
     if np.any(M.diagonal() <= 0):
@@ -242,11 +236,11 @@ def _check_seed(seed):
         raise ValueError("seed must be a non-negative integer")
 
 
-def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
-                 seed: int = 0) -> Spectrum:
+def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
+                 deflate_constants: bool = True, seed: int = 0) -> Spectrum:
     """Lowest k eigenpairs of S v = lambda M v, ascending.
 
-    ``ops`` is a FemOperators or a (stiffness, mass) pair.  With
+    ``ops`` holds the stiffness and mass matrices.  With
     ``deflate_constants`` the constant vector is removed from the search
     space, so the reported eigenvalues start at the first nonzero one.
     Residuals of the returned pairs are certified below ``tol``; if the
@@ -274,7 +268,7 @@ def solve_lowest(ops, k: int, tol: float = 1e-8, deflate_constants: bool = True,
     return _solve_shift_invert(S, M, k, tol, deflate_constants, wanted, seed)
 
 
-def morse_index(ops, potential_constant: float) -> int:
+def morse_index(ops: FemOperators, potential_constant: float) -> int:
     """Number of eigenvalues of S v = lambda M v below ``potential_constant``.
 
     This is the index of the quadratic form u'Su - c u'Mu with

@@ -194,6 +194,7 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     much, so that is where the work is even, not the middle.  The child runs
     elementwise numpy and ``repr`` only, no BLAS.
     """
+    betas = _check_betas(betas)
     block = truncation_profile(mesh, coord, p0, betas[0])
     # contiguous columns, so every slice takes the same numpy loops as the whole
     state = (block[:, 0].copy(), block[:, 3].copy(),

@@ -11,9 +11,10 @@ inputs and seed produce byte-identical files.
 Nearly all of the time goes to sparse factorizations that do not depend
 on each other: one eigensolve per level and two inertia counts on the
 finest.  run_all meshes and assembles every level, then, where the CPUs
-hold two BLAS pools, solves the finest level while one forked child
-counts the inertias and solves the coarser levels (``_solve``).  Either
-way every check reads the same bits.
+hold two BLAS pools (any two CPUs at the package's one-thread default),
+solves the finest level while one forked child counts the inertias and
+solves the coarser levels (``_solve``).  Either way every check reads the
+same bits.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def _solve(opss, shifts, solver_tol, seed):
         return tuple(morse_index(opss[-1], c) for c in shifts)
 
     # Idle BLAS threads spin before they sleep, so two pools that together
-    # outnumber the CPUs slow both processes down.  On 2 vCPUs at the default
-    # width (one thread per CPU), run_all on the torus and the sphere took
+    # outnumber the CPUs slow both processes down.  On 2 vCPUs at a user-set
+    # width of one thread per CPU, run_all on the torus and the sphere took
     # 0.67 s split against 0.39 s in one process; at width 1, 0.21 s.
     cpus = _fork.cpus()
     if cpus < 2 * _blas_width(cpus):

@@ -12,10 +12,16 @@ from eigenmin import eigen, fem, mesh
 from eigenmin.eigen import NonConvergence, SolverError, morse_index, solve_lowest
 
 
+def _ops(S, M):
+    """The pencil (S, M) as the FemOperators that the solvers take."""
+    S, M = sp.csr_matrix(S, dtype=float), sp.csr_matrix(M, dtype=float)
+    return fem.FemOperators(stiffness=S, mass=M,
+                            mass_lumped=np.asarray(M.sum(axis=1)).ravel(),
+                            dim=S.shape[0])
+
+
 def _diag_pencil():
-    S = sp.diags([0.0, 1.0, 2.0]).tocsr()
-    M = sp.identity(3, format="csr")
-    return S, M
+    return _ops(sp.diags([0.0, 1.0, 2.0]), sp.identity(3))
 
 
 def test_dense_diagonal_example_exact():
@@ -27,21 +33,21 @@ def test_dense_diagonal_example_exact():
 
 
 def test_input_validation(ops64):
-    S, M = _diag_pencil()
+    diag = _diag_pencil()
     with pytest.raises(ValueError):
-        solve_lowest((S, M), 0)
+        solve_lowest(diag, 0)
     with pytest.raises(ValueError):
-        solve_lowest((S, M), 3, tol=1e-2)
+        solve_lowest(diag, 3, tol=1e-2)
     with pytest.raises(ValueError):
-        solve_lowest((S, M), 3, tol=1e-13)
+        solve_lowest(diag, 3, tol=1e-13)
     with pytest.raises(ValueError):
-        solve_lowest((S, M), 4, deflate_constants=False)
+        solve_lowest(diag, 4, deflate_constants=False)
     # ARPACK computes fewer Ritz pairs than the dimension: k, the deflated
     # mode and the guard pairs must stay below it.
     with pytest.raises(ValueError, match="k=4093 needs 4096 Ritz pairs"):
         solve_lowest(ops64, ops64.dim - 3)
     # Both paths reject a negative seed.
-    for ops in ((S, M), ops64):
+    for ops in (diag, ops64):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             solve_lowest(ops, 2, seed=-1)
 
@@ -50,11 +56,11 @@ def test_indefinite_mass_rejected():
     S = sp.identity(3, format="csr")
     M = sp.diags([1.0, -1.0, 1.0]).tocsr()
     with pytest.raises(ValueError, match="positive definite"):
-        solve_lowest((S, M), 2)
+        solve_lowest(_ops(S, M), 2)
     # A positive diagonal does not make M definite; the dense solve finds out.
     M = sp.csr_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="positive definite"):
-        solve_lowest((S, M), 2)
+        solve_lowest(_ops(S, M), 2)
 
 
 def test_dense_path_torus(ops16):
@@ -134,7 +140,8 @@ def test_permutation_invariance(ops32):
     P = sp.csr_matrix(
         (np.ones(ops32.dim), (np.arange(ops32.dim), perm)), shape=(ops32.dim, ops32.dim)
     )
-    per = solve_lowest((P @ ops32.stiffness @ P.T, P @ ops32.mass @ P.T), 4, tol=1e-9)
+    per = solve_lowest(_ops(P @ ops32.stiffness @ P.T, P @ ops32.mass @ P.T), 4,
+                       tol=1e-9)
     assert np.abs(ref.eigenvalues - per.eigenvalues).max() < 10.0 * 1e-9
 
 
@@ -291,7 +298,7 @@ def test_morse_index_invariant_under_vertex_renumbering(ops32):
     M = ops32.mass[perm][:, perm]
     assert not np.array_equal(eigen._factor(S + M).order, np.arange(ops32.dim))
     for c in (2.0, 4.0, 9.0):
-        assert morse_index((S, M), c) == morse_index(ops32, c)
+        assert morse_index(_ops(S, M), c) == morse_index(ops32, c)
 
 
 def test_morse_index_computes_no_eigenpairs(monkeypatch, ops32):

@@ -1,10 +1,12 @@
 """Start-up: importing the package, and the commands that solve nothing,
-load no scipy; the commands that solve load it at their first solve.
+load no scipy; the commands that solve load it at their first solve.  The
+import sets one BLAS thread unless a variable or numpy came first.
 
 Each case runs in a fresh interpreter, because this one has scipy loaded.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import eigenmin
+
+_SRC = str(Path(eigenmin.__file__).parents[1])
 
 # argv[1]: the package's parent directory; argv[2]: the module to import;
 # argv[3]: a JSON list of argvs for that module's main.  Prints the exit codes
@@ -32,9 +36,8 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 def _fresh(module, argvs=()):
     """Exit codes of ``argvs`` and the scipy modules loaded, in a fresh
     interpreter that imports ``module`` first."""
-    src = str(Path(eigenmin.__file__).parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, src, module, json.dumps(list(argvs))],
+        [sys.executable, "-c", _CHILD, _SRC, module, json.dumps(list(argvs))],
         capture_output=True, text=True, check=True, timeout=120)
     return json.loads(done.stdout)
 
@@ -61,3 +64,43 @@ def test_spectrum_loads_scipy_at_its_first_solve(resolution, solver):
     codes, loaded = _fresh("eigenmin.cli", [argv])
     assert codes == [0]
     assert solver in loaded
+
+
+# argv[1]: the package's parent directory; argv[2]: "1" to import numpy
+# first.  Prints the *_THREADS variables after the import, and the number of
+# forks that verify's split takes on 2 CPUs, with stub solvers.
+_WIDTH_CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "1":
+    import numpy
+from eigenmin import _fork, verify
+threads = {k: v for k, v in os.environ.items() if k.endswith("_THREADS")}
+verify.solve_lowest = lambda ops, *args, **kwargs: ops
+verify.morse_index = lambda ops, c: c
+_fork.cpus = lambda: 2
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+assert verify._solve(["coarse", "fine"], (1.0, 3.0), 1e-8, 0) == (
+    ["coarse", "fine"], (1.0, 3.0))
+print(json.dumps([threads, len(forks)]))
+"""
+
+_ONE = dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                      "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"], "1")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+@pytest.mark.parametrize("preset, numpy_first, threads, forks", [
+    ({}, False, _ONE, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, {**_ONE, "OPENBLAS_NUM_THREADS": "2"}, 0),
+    ({}, True, {}, 0),
+], ids=["unset", "openblas-2", "numpy-first"])
+def test_one_blas_thread_by_default(preset, numpy_first, threads, forks):
+    # Every thread variable is dropped, also those this process has set.
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    done = subprocess.run(
+        [sys.executable, "-c", _WIDTH_CHILD, _SRC, str(int(numpy_first))],
+        env={**env, **preset}, capture_output=True, text=True, check=True,
+        timeout=120)
+    assert json.loads(done.stdout) == [threads, forks]

@@ -14,6 +14,7 @@ from eigenmin.trial import (
     sweep_beta,
     sweep_csv,
     truncation_profile,
+    write_profiles,
 )
 
 TORUS = canonical.clifford_torus()
@@ -139,6 +140,15 @@ def test_sweep_csv_format(torus16, ops16):
     assert len(first) == 6
     assert float(first[0]) == 1.0
     assert float(first[3]) == records[0].orthogonality_defect
+
+
+def test_write_profiles_checks_its_betas(torus16, tmp_path):
+    path = tmp_path / "profiles.csv"
+    with pytest.raises(ValueError, match="at least one beta"):
+        write_profiles(path, torus16, 1, P0, [])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        write_profiles(path, torus16, 1, P0, [4.0, 1.0])
+    assert not path.exists()
 
 
 def test_profile_rows_sorted_and_consistent(torus16):

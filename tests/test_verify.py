@@ -444,7 +444,7 @@ def test_split_and_inline_solves_are_bit_identical(fork_cpus):
 @pytest.mark.parametrize("cpus, env, expected", [
     (2, {}, 0), (2, {"OPENBLAS_NUM_THREADS": "1"}, 1), (1, {"OMP_NUM_THREADS": "1"}, 0),
     (4, {"OMP_NUM_THREADS": "2"}, 1), (4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 0),
-], ids=["default-width", "width-1", "one-cpu", "omp-2-of-4", "openblas-first"])
+], ids=["width-unset", "width-1", "one-cpu", "omp-2-of-4", "openblas-first"])
 def test_split_needs_cpus_for_two_blas_pools(cpus, env, expected, forks, monkeypatch):
     if cpus > 1 and not hasattr(os, "fork"):
         pytest.skip("the platform cannot fork")
