@@ -56,14 +56,12 @@ def _values(u, dim=None):
     return v
 
 
-def _checked_geometry(mesh):
-    """``face_geometry`` of the mesh, raising :class:`MeshError` naming the
-    first face of (numerically) zero area."""
-    geometry = face_geometry(mesh.vertices, mesh.faces)
-    bad = np.nonzero(geometry[5] < _AREA_FLOOR)[0]
+def _check_areas(areas):
+    """Raise :class:`MeshError` naming the first face of (numerically) zero
+    area."""
+    bad = np.nonzero(areas < _AREA_FLOOR)[0]
     if bad.size:
         raise MeshError("degenerate face %d has zero area" % bad[0])
-    return geometry
 
 
 def assemble(mesh: TriMesh) -> FemOperators:
@@ -71,41 +69,73 @@ def assemble(mesh: TriMesh) -> FemOperators:
 
     Raises :class:`MeshError` naming the first degenerate face if any
     triangle has (numerically) zero area.
+
+    The face corners are gathered once.  Edge k joins the two corners other
+    than k (e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0), so corner k spans
+    e(k+2) and -e(k+1).  Negation and the order of a product's factors are
+    exact, so each corner's Gram entries carry the bits ``face_geometry``
+    gives the face rotated to start at that corner.  One stable sort of the
+    (row, col) pairs gives the shared CSR pattern, and each entry's face
+    terms are summed in the order the faces come in.
     """
     from scipy.sparse import csr_matrix
 
     F = mesh.faces
     nv = mesh.vertex_count
-    _, _, uu, vv, uv, areas = _checked_geometry(mesh)
-    # The cotangent at corner k comes from the Gram entries of the face
-    # rotated so that corner k comes first.
-    grams = [(uu, vv, uv)] + [
-        face_geometry(mesh.vertices, np.roll(F, -k, axis=1))[2:5] for k in (1, 2)
-    ]
+    # Each array is dropped once it is used: the pattern below sets the peak.
+    p0, p1, p2 = (np.take(mesh.vertices, F[:, k], axis=0) for k in range(3))
+    edges = (p2 - p1, np.subtract(p0, p2, out=p2), np.subtract(p1, p0, out=p1))
+    del p0, p1, p2
+    sq = [np.einsum("ij,ij->i", e, e) for e in edges]
+    # corner k: (u.u, v.v, u.v) with u = e(k+2), v = -e(k+1)
+    grams = [(sq[(k + 2) % 3], sq[(k + 1) % 3],
+              -np.einsum("ij,ij->i", edges[(k + 2) % 3], edges[(k + 1) % 3]))
+             for k in range(3)]
+    del edges
+    uu, vv, uv = grams[0]
+    areas = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+    _check_areas(areas)
     half_cot = 0.5 * np.concatenate([
         uv / np.sqrt(np.maximum(uu * vv - uv * uv, _AREA_FLOOR**2))
         for uu, vv, uv in grams
     ])
+    del grams, sq
 
     # S and M share one sparsity pattern: both directions of every face
     # edge (the edges opposite vertex 0, 1, 2 in turn) plus the diagonal.
-    tail = np.concatenate([F[:, 1], F[:, 2], F[:, 0]]).astype(np.int64)
-    head = np.concatenate([F[:, 2], F[:, 0], F[:, 1]]).astype(np.int64)
-    diag = np.arange(nv, dtype=np.int64)
-    pattern, slot = np.unique(
-        np.concatenate([tail * nv + head, head * nv + tail, diag * (nv + 1)]),
-        return_inverse=True,
-    )
-    edge_slot, diag_slot = slot[:-nv], slot[-nv:]
-    rows = pattern // nv
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+    tail = np.concatenate([F[:, 1], F[:, 2], F[:, 0]]).astype(np.int32)
+    head = np.concatenate([F[:, 2], F[:, 0], F[:, 1]]).astype(np.int32)
+    diag = np.arange(nv, dtype=np.int32)
+    key = np.concatenate([tail, head, diag]).astype(np.int64)
+    key *= nv
+    key += np.concatenate([head, tail, diag])
+    del tail, head
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    slot = np.cumsum(first, dtype=np.int32)
+    slot -= 1
+    pattern = key[first]
+    del key, first
+    rows = (pattern // nv).astype(np.int32)
+    indices = (pattern % nv).astype(np.int32)
+    del pattern
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+    diag_slot = np.flatnonzero(indices == rows)
 
-    s_data = np.bincount(edge_slot, np.tile(-half_cot, 2), minlength=pattern.size)
+    def summed(edge_terms):
+        # the diagonal's terms are zeros, replaced below
+        terms = np.concatenate(edge_terms + [np.zeros(nv)])[order]
+        return np.bincount(slot, terms, minlength=indices.size)
+
+    s_data = summed([-half_cot] * 2)
     s_data[diag_slot] = -np.bincount(rows, s_data, minlength=nv)
-    m_data = np.bincount(edge_slot, np.tile(areas / 12.0, 6), minlength=pattern.size)
+    m_data = summed([areas / 12.0] * 6)
     m_data[diag_slot] = np.bincount(F.ravel(), np.repeat(areas / 6.0, 3),
                                     minlength=nv)
-    indices = pattern % nv
     stiffness = csr_matrix((s_data, indices, indptr), shape=(nv, nv))
     mass = csr_matrix((m_data, indices, indptr), shape=(nv, nv))
 
@@ -193,7 +223,8 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
     basis vector onto the face plane, and the squared norms sum to the
     trace of that projection.
     """
-    geometry = _checked_geometry(mesh)
+    geometry = face_geometry(mesh.vertices, mesh.faces)
+    _check_areas(geometry[5])
     total = np.zeros(mesh.face_count)
     for x in mesh.vertices.T:
         total += _gradient_sq(mesh.faces, geometry, x)

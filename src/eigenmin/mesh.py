@@ -8,9 +8,11 @@ immutable once built; generation and (de)serialization are pure functions.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -359,12 +361,11 @@ def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
     return block
 
 
-def read_mesh(path) -> TriMesh:
-    """Parse an SMESH file, validate all mesh invariants, tag the surface.
+def _read_lines(path):
+    """Vertices and faces of an SMESH file, read one content line at a time.
 
-    The surface tag is inferred from the defining equations (torus pair radii
-    or the equatorial slice); foreign meshes that satisfy neither stay
-    untagged but must still be closed, oriented, and on the unit sphere.
+    Comment and blank lines are skipped, and every error names the file line
+    of the first offending content line.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = list(map(str.strip, fh.readlines()))
@@ -405,7 +406,58 @@ def read_mesh(path) -> TriMesh:
     bad = np.flatnonzero(np.any((faces < 0) | (faces >= nv), axis=1))
     if bad.size:
         fail(linenos[2 + nv + bad[0]], "face index out of range")
+    return vertices, faces
 
+
+def _read_bytes(data: bytes):
+    """Vertices and faces of an SMESH file whose bytes are ``data``, or None
+    where the file needs the per-line reader.
+
+    Only a file of exactly 2 + V + F lines, ASCII without '#' or '\\r', is
+    read here: the V lines after the header go to numpy's C reader as one
+    block and the rest as another, pulled from the bytes one line at a time,
+    so no list of lines is built.  Anything the per-line reader would report
+    (a header, a count, a field count, a token or an index it rejects, or a
+    blank line, which leaves a block a row short) returns None instead.
+    """
+    if not data.isascii() or b"\r" in data or b"#" in data:
+        return None
+    lines = io.BytesIO(data)  # shares the buffer of ``data``
+    if lines.readline().split() != [_MAGIC.encode(), b"4"]:
+        return None
+    try:
+        nv, nf = (int(t) for t in lines.readline().split())
+    except ValueError:
+        return None
+    if nv < 3 or nf < 2 or data.count(b"\n") + (not data.endswith(b"\n")) != 2 + nv + nf:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an all-blank block
+            vertices = np.loadtxt(islice(lines, nv), comments=None, ndmin=2)
+            faces = np.loadtxt(lines, dtype=int, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if (vertices.shape != (nv, 4) or faces.shape != (nf, 3)
+            or faces.min() < 0 or faces.max() >= nv):
+        return None
+    return vertices, faces
+
+
+def read_mesh(path) -> TriMesh:
+    """Parse an SMESH file, validate all mesh invariants, tag the surface.
+
+    The file's bytes are read once and parsed in two numpy blocks.  Only a
+    file with comments, blank lines, '\\r' line ends or an error is read
+    again, one line at a time, so that an error names the first bad line.
+
+    The surface tag is inferred from the defining equations (torus pair radii
+    or the equatorial slice); foreign meshes that satisfy neither stay
+    untagged but must still be closed, oriented, and on the unit sphere.
+    """
+    with open(path, "rb") as fh:
+        blocks = _read_bytes(fh.read())
+    vertices, faces = _read_lines(path) if blocks is None else blocks
     surface, params = _infer_surface(vertices)
     mesh = TriMesh(vertices, faces, surface, params)
     validate(mesh)

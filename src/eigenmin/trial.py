@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,15 +172,75 @@ def _profile_rows(state, job):
 
     ``state`` holds the distance-sorted distance and x_i columns and their
     ``repr`` strings; only the beta-dependent columns are computed here.
+    Where u_beta is x_i to the bit (phi_beta too small to move it), it takes
+    x_i's string.
     """
     d, x, fixed = state
     beta, start, stop = job
-    columns = np.stack(_truncation(beta, d[start:stop], x[start:stop]), axis=1)
-    cells = np.empty((stop - start, 5), dtype=object)
+    n = stop - start
+    x = x[start:stop]
+    phi, u, err = _truncation(beta, d[start:stop], x)
+    moved = u.view(np.int64) != x.view(np.int64)
+    strings = repr_floats(np.concatenate([phi, err, u[moved]]))
+    cells = np.empty((n, 5), dtype=object)
     cells[:, [0, 3]] = fixed[start:stop]
-    cells[:, [1, 2, 4]] = repr_floats(columns).reshape(-1, 3)
+    cells[:, 1], cells[:, 4] = strings[:n], strings[n:2 * n]
+    cells[:, 2] = cells[:, 3]
+    cells[moved, 2] = strings[2 * n:]
     row = repr(beta) + ",%s,%s,%s,%s,%s\n"
-    return (row * (stop - start)) % tuple(cells.ravel().tolist())
+    return (row * n) % tuple(cells.ravel().tolist())
+
+
+def _write_head(fh, state, jobs, ends):
+    """Write the header, then each job from ``ends[0]`` on that still comes
+    before ``ends[1]``."""
+    fh.write(PROFILES_HEADER + "\n")
+    while ends[0] < ends[1]:
+        fh.write(_profile_rows(state, jobs[ends[0]]))
+        ends[0] += 1
+
+
+def _write_with_tail(fh, state, jobs):
+    """Write the head here while one forked child formats the tail, then let
+    the child write its own rows after the head."""
+    # The next job of the head, one past the last job the tail has left,
+    # and, at the handoff, the byte offset where the head ends.  Each end
+    # takes a slice only while the other has not passed it, so both may
+    # format the slice where they meet, and neither skips one.
+    ends = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
+    ends[:] = 0, len(jobs), 0
+    read_fd, write_fd = os.pipe()  # carries the one byte of the handoff
+    with open(read_fd, "rb", buffering=0) as from_head, \
+            open(write_fd, "wb", buffering=0) as to_tail:
+
+        def tail():
+            to_tail.close()
+            rows = []  # rows[i] holds job len(jobs) - 1 - i
+            while ends[1] > ends[0]:
+                rows.append(_profile_rows(state, jobs[ends[1] - 1]))
+                ends[1] -= 1
+            if not from_head.read(1):  # the head failed: write nothing
+                return
+            offset, first = int(ends[2]), int(ends[0])
+            for text in reversed(rows[:len(jobs) - first]):
+                data = memoryview(text.encode("ascii"))
+                while data:
+                    written = os.pwrite(fh.fileno(), data, offset)
+                    data, offset = data[written:], offset + written
+
+        with _fork.child(tail) as tail_result:
+            from_head.close()
+            try:
+                _write_head(fh, state, jobs, ends)
+                ends[2] = fh.tell()  # flushes the head
+                with contextlib.suppress(BrokenPipeError):  # the tail has ended
+                    to_tail.write(b"\0")
+            except BaseException:
+                ends[0] = len(jobs)  # the ends have met: the tail stops at once
+                raise
+            finally:
+                to_tail.close()
+            tail_result()
 
 
 def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
@@ -188,11 +249,16 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
 
     Distance, x_i and their strings are made once per sweep.  Each block is
     cut into row slices that format independently.  Where a second CPU is
-    usable (``_fork.cpus``), this process writes slices from the first while
-    one forked child formats them from the last; where they meet, the child
-    returns its tail in one message.  Small betas cost up to five times as
-    much, so that is where the work is even, not the middle.  The child runs
-    elementwise numpy and ``repr`` only, no BLAS.
+    usable (``_fork.cpus``) and the file is seekable, this process writes
+    slices from the first while one forked child formats them from the
+    last.  Where the two ends meet, this process flushes its head and hands
+    the child, through shared memory, the byte offset where the head ends
+    and the first job the child still owns; the child writes its rows there
+    with ``os.pwrite``, so no row passes through a pipe.  If this process
+    fails before the handoff, the ends meet at once and the child writes
+    nothing.  Small betas cost up to five times as much, so that is where
+    the work is even, not the middle.  The child runs elementwise numpy and
+    ``repr`` only, no BLAS.
     """
     betas = _check_betas(betas)
     block = truncation_profile(mesh, coord, p0, betas[0])
@@ -202,26 +268,8 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     edges = [len(block) * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
     jobs = [(beta, start, stop) for beta in betas
             for start, stop in zip(edges, edges[1:]) if start < stop]
-    # Where the head ends and the tail starts, shared with the child.  Each
-    # end takes a slice only while the other has not passed it, so both may
-    # format the slice where they meet, and neither skips one.
-    ends = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
-    ends[:] = 0, len(jobs)
-
-    def tail():
-        rows = []
-        while ends[1] > ends[0]:
-            rows.append(_profile_rows(state, jobs[ends[1] - 1]))
-            ends[1] -= 1
-        return int(ends[1]), rows[::-1]
-
-    # Fork before the file is opened, so the child holds no handle to it.
-    # Without a child, this process takes every slice and the tail none.
-    forked = _fork.child(tail) if _fork.cpus() >= 2 else contextlib.nullcontext(tail)
-    with forked as formatted, open(path, "w", encoding="ascii") as fh:
-        fh.write(PROFILES_HEADER + "\n")
-        while ends[0] < ends[1]:
-            fh.write(_profile_rows(state, jobs[ends[0]]))
-            ends[0] += 1
-        start, rows = formatted()
-        fh.writelines(rows[ends[0] - start:])
+    with open(path, "w", encoding="ascii") as fh:
+        if _fork.cpus() >= 2 and fh.seekable():
+            _write_with_tail(fh, state, jobs)
+        else:
+            _write_head(fh, state, jobs, [0, len(jobs)])

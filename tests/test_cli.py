@@ -474,6 +474,56 @@ def test_sweep_profiles_child_that_dies_exits_2(tmp_path, monkeypatch, capsys,
     _no_child_left()
 
 
+def test_sweep_profiles_child_that_dies_in_pwrite_exits_2(tmp_path, monkeypatch, capsys,
+                                                         forked_profiles):
+    # The child writes its own rows; one that dies there is reported with
+    # its exit code, like one that dies while it formats them.
+    parent = os.getpid()
+    real = os.pwrite
+
+    def die_in_child(fd, data, offset):
+        if os.getpid() != parent:
+            os._exit(5)
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", die_in_child)
+    assert main(_profiles_argv(tmp_path, "p.csv")) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the forked process sent no result (exit code 5)\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["open", "head"])
+def test_sweep_profiles_parent_failure_stops_the_child(tmp_path, monkeypatch, capsys,
+                                                      forked_profiles, failure):
+    # A parent that cannot open the file, or fails while it writes its head,
+    # leaves at once: the child formats at most the slice it has begun and
+    # writes nothing.  Each child slice takes 50 ms, so a child that went on
+    # would log many.
+    parent = os.getpid()
+    real = trial._profile_rows
+    log = tmp_path / "calls"
+
+    def logged(state, job):
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        if os.getpid() == parent:
+            raise ValueError("the head failed")
+        time.sleep(0.05)
+        return real(state, job)
+
+    monkeypatch.setattr(trial, "_profile_rows", logged)
+    argv = _profiles_argv(tmp_path, "p.csv")
+    if failure == "open":
+        argv[-1] = str(tmp_path / "missing" / "p.csv")
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert ("No such file or directory" if failure == "open" else "the head failed") in err
+    calls = log.read_text().splitlines() if log.exists() else []
+    assert len(calls) <= 2, calls
+    _no_child_left()
+
+
 # argv -> the stderr line of a usage error (exit 2).  "{torus}" is a torus
 # SMESH file, "{foreign}" a closed unit-sphere mesh no surface is recognized
 # in, "{bad_cfg}" a config file with a malformed line, "{level_cfg}" one

@@ -1,5 +1,6 @@
 """Tests for P1 operator assembly and the derived geometric functionals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -121,6 +122,32 @@ def test_stiffness_bit_equals_per_corner_cotangents(maker):
     m = maker()
     ops = assemble(m)
     assert np.array_equal(ops.stiffness.data, _per_corner_cot_stiffness(m, ops))
+
+
+# sha256 of indptr, indices and data of S, then of M, then the lumped mass,
+# taken before assemble found its pattern with one stable sort (numpy 2.4,
+# x86-64).  The bits of every array are part of what assemble promises.
+GOLDEN_OPERATORS = {
+    "torus8": (lambda: mesh.generate_torus(8),
+               "a1b7df3db0d476e4767c7be6c68ecc1811885288e038419fc4360d4683529ca6"),
+    "sphere2": (lambda: mesh.generate_sphere(2),
+                "6e0fd287271c046431eb15a98682ceb7781e2fdc5e2e54bd39d25662c071dad2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OPERATORS))
+def test_assemble_golden_bits(name):
+    maker, digest = GOLDEN_OPERATORS[name]
+    ops = assemble(maker())
+    h = hashlib.sha256()
+    for matrix in (ops.stiffness, ops.mass):
+        for array in (matrix.indptr, matrix.indices, matrix.data):
+            h.update(array.tobytes())
+    h.update(ops.mass_lumped.tobytes())
+    assert h.hexdigest() == digest
+    # one pattern, held once
+    assert np.shares_memory(ops.stiffness.indices, ops.mass.indices)
+    assert np.shares_memory(ops.stiffness.indptr, ops.mass.indptr)
 
 
 def test_assemble_shapes_and_symmetry(ops64, torus64):

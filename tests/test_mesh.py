@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenmin import canonical, cli, mesh
 from eigenmin.mesh import (
@@ -480,3 +482,114 @@ def test_read_mesh_accepts_python_digit_separators(tmp_path):
     lines[3] = "1_0 " + lines[3].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
     assert _read_error(path).startswith("off-sphere vertex 1 (norm 10.")
+
+
+# ---------------------------------------------------------------------------
+# read_mesh parses a plain file from its bytes, in two numpy blocks; a file
+# that reader declines is read one line at a time.  Either way the outcome
+# is the per-line reader's: the same mesh bits, or the same error on the
+# same line.
+# ---------------------------------------------------------------------------
+
+
+def _outcome_of_read(path):
+    try:
+        m = read_mesh(path)
+    except (MeshError, UnicodeDecodeError) as exc:
+        return str(exc)
+    return m.vertices.tobytes(), m.faces.tobytes(), m.surface
+
+
+def _per_line_outcome(path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh, "_read_bytes", lambda data: None)
+        return _outcome_of_read(path)
+
+
+def _split_fields(lines):
+    # a 3-field vertex line followed by a 5-field one: 8 fields in 2 lines
+    lines[5] = lines[5] + " " + lines[4].rsplit(" ", 1)[1]
+    lines[4] = lines[4].rsplit(" ", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+def _swap_line(lines):
+    # one vertex line more and one face line fewer: the count still matches
+    return "\n".join(lines[:14] + lines[13:-1]) + "\n"
+
+
+_EDITS = {
+    "plain": (lambda lines: "\n".join(lines) + "\n", True),
+    "split fields": (_split_fields, False),
+    "tabs and trailing spaces": (
+        lambda lines: "".join("\t".join(t.split()) + " \t \n" for t in lines), True),
+    "one crlf line": (
+        lambda lines: "\n".join(t + "\r" * (k == 7) for k, t in enumerate(lines)) + "\n",
+        False),
+    "a cr inside a line": (
+        lambda lines: "\n".join(t.replace(" ", "\r", 1) if k == 7 else t
+                                for k, t in enumerate(lines)) + "\n", False),
+    "no final newline": (lambda lines: "\n".join(lines), True),
+    "missing line": (lambda lines: "\n".join(lines[:-1]) + "\n", False),
+    "extra line": (lambda lines: "\n".join(lines + lines[-1:]) + "\n", False),
+    "swapped line": (_swap_line, False),
+    "blank line": (lambda lines: "\n".join(lines[:9] + [""] + lines[9:]) + "\n", False),
+    "blank last line": (lambda lines: "\n".join(lines + ["  "]) + "\n", False),
+    "three coordinates everywhere": (
+        lambda lines: "\n".join(lines[:2] + [t.rsplit(" ", 1)[0] for t in lines[2:14]]
+                                + lines[14:]) + "\n", False),
+    "four indices everywhere": (
+        lambda lines: "\n".join(lines[:14] + [t + " 0" for t in lines[14:]]) + "\n", False),
+    # numpy's reader takes a no-break space as a field separator
+    "non-ascii space": (
+        lambda lines: "\n".join(lines[:7] + [lines[7].replace(" ", "\xa0")] + lines[8:])
+        + "\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDITS))
+def test_read_mesh_bytes_reader_gives_the_per_line_outcome(tmp_path, monkeypatch, name):
+    edit, fast = _EDITS[name]
+    path = tmp_path / "edited.smesh"
+    path.write_bytes(edit(_ico_lines(tmp_path)).encode("latin-1"))
+    assert (mesh._read_bytes(path.read_bytes()) is not None) == fast
+    assert _outcome_of_read(path) == _per_line_outcome(path, monkeypatch)
+
+
+@pytest.mark.parametrize("where, token", [
+    ("vertex", t) for t in ["+0.0", "-0.0", "0e0", "0_0", "+1.0", "1e0", "inf", "nan",
+                            "-inf", "0x1p0", "1_0", "0.0.0"]
+] + [
+    ("face", t) for t in ["+11", "011", "1_1", "11.0", "1e1", "0xb", "-11", "inf"]
+])
+def test_read_mesh_tokens_give_the_per_line_outcome(tmp_path, monkeypatch, where, token):
+    lines = _ico_lines(tmp_path)
+    if where == "vertex":  # the fourth coordinate of every vertex is 0.0
+        lines[6] = lines[6].rsplit(" ", 1)[0] + " " + token
+    else:  # in place of the 11 in face 6, (5, 11, 4)
+        assert lines[20] == "5 11 4"
+        lines[20] = "5 %s 4" % token
+    path = tmp_path / "token.smesh"
+    path.write_text("\n".join(lines) + "\n")
+    assert _outcome_of_read(path) == _per_line_outcome(path, monkeypatch)
+
+
+@settings(max_examples=20, deadline=None)
+@given(torus=st.booleans(), level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_write_then_read_gives_the_mesh_back_bit_for_bit(tmp_path_factory, torus, level,
+                                                         seed):
+    # A random rotation of R^4 gives every coordinate arbitrary bits; a random
+    # face order and a cyclic turn of each face keep the mesh closed and
+    # oriented.
+    rng = np.random.default_rng(seed)
+    base = generate_torus(3 + 2 * level) if torus else generate_sphere(level)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    faces = np.array([np.roll(f, int(k)) for f, k in
+                      zip(base.faces[rng.permutation(base.face_count)],
+                          rng.integers(0, 3, base.face_count))])
+    original = TriMesh(base.vertices @ q, faces)
+    path = tmp_path_factory.mktemp("roundtrip") / "m.smesh"
+    write_mesh(original, path)
+    loaded = read_mesh(path)
+    assert loaded.vertices.tobytes() == original.vertices.tobytes()
+    assert loaded.faces.tobytes() == original.faces.tobytes()

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eigenmin import canonical
+from eigenmin import _fork, canonical
 from eigenmin.trial import (
     SWEEP_HEADER,
     build_truncation,
@@ -149,6 +152,49 @@ def test_write_profiles_checks_its_betas(torus16, tmp_path):
     with pytest.raises(ValueError, match="strictly ascending"):
         write_profiles(path, torus16, 1, P0, [4.0, 1.0])
     assert not path.exists()
+
+
+def test_forked_profile_writer_never_holds_the_tail(torus64, tmp_path, monkeypatch,
+                                                   forked_profiles):
+    # The child writes its own rows into the file, so this process holds
+    # about what it holds when it formats every row itself.
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    betas = [2.0 ** k for k in range(11)]
+    peaks = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(_fork, "cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            write_profiles(tmp_path / ("%d.csv" % cpus), torus64, 2, P0, betas)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert peaks[2] < 1.5 * peaks[1], peaks
+
+
+def test_profiles_into_a_pipe_are_written_in_one_process(torus16, tmp_path, monkeypatch,
+                                                        forked_profiles):
+    # A child writes its rows at a file offset, which a pipe does not have.
+    def no_fork():
+        raise AssertionError("forked a child for a pipe")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    betas = [1.0, 4.0, 16.0]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        write_profiles(fifo, torus16, 2, P0, betas)
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    monkeypatch.setattr(_fork, "cpus", lambda: 1)
+    write_profiles(tmp_path / "file.csv", torus16, 2, P0, betas)
+    assert received == [(tmp_path / "file.csv").read_bytes()]
 
 
 def test_profile_rows_sorted_and_consistent(torus16):
