@@ -204,7 +204,7 @@ def takahashi_residual(ops: FemOperators, u, n: int) -> float:
 
 def _gradient_sq(faces, geometry, v) -> np.ndarray:
     """Per-face squared gradient norm of the P1 interpolant of ``v``."""
-    _, _, uu, vv, uv, _ = geometry
+    uu, vv, uv, _ = geometry
     d1 = v[faces[:, 1]] - v[faces[:, 0]]
     d2 = v[faces[:, 2]] - v[faces[:, 0]]
     det = uu * vv - uv * uv
@@ -224,7 +224,7 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
     trace of that projection.
     """
     geometry = face_geometry(mesh.vertices, mesh.faces)
-    _check_areas(geometry[5])
+    _check_areas(geometry[3])
     total = np.zeros(mesh.face_count)
     for x in mesh.vertices.T:
         total += _gradient_sq(mesh.faces, geometry, x)

@@ -12,7 +12,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, filterfalse, islice, repeat
 
 import numpy as np
 
@@ -69,27 +69,14 @@ def _directed_edges(faces: np.ndarray) -> np.ndarray:
     )
 
 
-def _first_repeat(keys: np.ndarray, n: int):
-    """Sorted keys, and the earliest position at which some key occurs for
-    the n-th time (None if none does).
-
-    The argsort is stable, so equal keys keep their position order and an
-    entry equal to the one n-1 places before it is the n-th or a later
-    occurrence of its key.
-    """
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    hit = ordered[n - 1:] == ordered[: len(ordered) - n + 1]
-    return ordered, (int(order[n - 1:][hit].min()) if hit.any() else None)
-
-
 def validate(mesh: TriMesh) -> None:
     """Check the structural mesh invariants, raising MeshError on violation.
 
     Verified: vertex norms 1 within 1e-12, index ranges, closedness (every
     edge in exactly two faces), consistent orientation (the two traversals
     are opposite), and the Euler characteristic expected for the tagged
-    surface.
+    surface.  One sort of the 3F directed edges decides every outcome, and
+    an error names the edge an edge-by-edge scan would stop at.
     """
     v, f = mesh.vertices, mesh.faces
     if v.ndim != 2 or v.shape[1] != 4:
@@ -112,23 +99,25 @@ def validate(mesh: TriMesh) -> None:
     edges = _directed_edges(f).astype(np.int64)
     a, b = edges[:, 0], edges[:, 1]
     nv = len(v)
-    ukeys = np.minimum(a, b) * nv + np.maximum(a, b)
-    dkeys = a * nv + b
-    # An edge-ordered scan stops at the earliest position where an undirected
-    # edge is seen a third time or a directed edge a second time; report
-    # that position, preferring non-manifold when both fall on it.
-    usorted, nonmanifold = _first_repeat(ukeys, 3)
-    dsorted, flipped = _first_repeat(dkeys, 2)
-    if nonmanifold is not None and (flipped is None or nonmanifold <= flipped):
-        lo, hi = sorted((int(a[nonmanifold]), int(b[nonmanifold])))
-        raise MeshError(f"non-manifold edge {(lo, hi)}")
-    if flipped is not None:
-        raise MeshError(
-            f"inconsistent orientation at edge {(int(a[flipped]), int(b[flipped]))}"
-        )
+    keys = a * nv + b
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # An edge-ordered scan stops at the earliest repeated directed edge: of
+    # three uses of an undirected edge two share a direction, so its third
+    # use comes at or after such a repeat.  The stable sort keeps equal keys
+    # in position order, so a key equal to its predecessor is a repeat.
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        p = int(repeats.min())
+        x, y = int(a[p]), int(b[p])
+        seen = keys[: p + 1]
+        if np.count_nonzero((seen == keys[p]) | (seen == y * nv + x)) > 2:
+            raise MeshError(f"non-manifold edge {(min(x, y), max(x, y))}")
+        raise MeshError(f"inconsistent orientation at edge {(x, y)}")
+    del order
     rkeys = b * nv + a
-    slot = np.minimum(np.searchsorted(dsorted, rkeys), max(len(dsorted) - 1, 0))
-    if not np.all(dsorted[slot] == rkeys):
+    slot = np.minimum(np.searchsorted(ordered, rkeys), max(len(ordered) - 1, 0))
+    if not np.all(ordered[slot] == rkeys):
         # Name the edge a set-based scan names first.  Iteration order of a
         # set of int pairs depends only on the insertion sequence, so
         # rebuilding the set in edge order reproduces it.
@@ -136,8 +125,8 @@ def validate(mesh: TriMesh) -> None:
         a0, b0 = next((x, y) for x, y in directed if (y, x) not in directed)
         raise MeshError(f"boundary edge ({a0}, {b0}); mesh is not closed")
 
-    edge_count = int(np.count_nonzero(np.diff(usorted))) + 1 if len(usorted) else 0
-    euler = nv - edge_count + len(f)
+    # every directed edge is unique and its reverse is present: 3F/2 edges
+    euler = nv - 3 * len(f) // 2 + len(f)
     if mesh.surface is not None:
         expected = mesh.surface.euler_characteristic
         if euler != expected:
@@ -257,9 +246,9 @@ def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
 
 
 def face_geometry(vertices: np.ndarray, faces: np.ndarray):
-    """Edge vectors u = p1 - p0 and v = p2 - p0 of every face, their Gram
-    entries u.u, v.v, u.v and the flat face areas (Gram determinant form),
-    as the tuple (u, v, uu, vv, uv, areas)."""
+    """Gram entries u.u, v.v, u.v of the edge vectors u = p1 - p0 and
+    v = p2 - p0 of every face and the flat face areas (Gram determinant
+    form), as the tuple (uu, vv, uv, areas)."""
     # np.take copies whole rows, several times faster than fancy indexing;
     # the in-place differences save two fresh (F, 4) arrays
     p0, u, v = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
@@ -269,7 +258,7 @@ def face_geometry(vertices: np.ndarray, faces: np.ndarray):
     vv = np.einsum("ij,ij->i", v, v)
     uv = np.einsum("ij,ij->i", u, v)
     areas = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
-    return u, v, uu, vv, uv, areas
+    return uu, vv, uv, areas
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
@@ -286,7 +275,7 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
         face_count=mesh.face_count,
         euler_char=mesh.vertex_count - len(edges) + mesh.face_count,
         max_edge=float(np.linalg.norm(diff, axis=1).max()),
-        total_area=float(face_geometry(mesh.vertices, mesh.faces)[5].sum()),
+        total_area=float(face_geometry(mesh.vertices, mesh.faces)[3].sum()),
     )
 
 
@@ -331,22 +320,12 @@ def _infer_surface(vertices: np.ndarray):
 
 def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
                  parse_reason: str, limit=None) -> np.ndarray:
-    """Parse whitespace-separated rows of ``width`` numbers of type ``kind``.
+    """Parse whitespace-separated rows of ``width`` numbers of type ``kind``
+    one line at a time, failing at the first bad line with its reason.
 
-    The rows go to numpy's C reader in one call.  Only if it rejects them
-    (or they do not all have ``width`` fields) are they rescanned one line
-    at a time, failing at the first bad line with its reason.  Python's
-    ``float``/``int`` accept digit separators ('1_0') that numpy's reader
-    rejects; such a block parses in the rescan, as it always has.  With
-    ``limit``, the rescan also fails a line with an entry outside
-    [0, limit), so that it reports lines in file order.
+    With ``limit``, a line with an entry outside [0, limit) also fails, so
+    that lines are reported in file order.
     """
-    try:
-        block = np.loadtxt(rows, dtype=kind, comments=None, ndmin=2)
-        if block.shape == (len(rows), width):
-            return block
-    except ValueError:
-        pass
     block = np.empty((len(rows), width), dtype=kind)
     for k, text in enumerate(rows):
         parts = text.split()
@@ -364,8 +343,8 @@ def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
 def _read_lines(path):
     """Vertices and faces of an SMESH file, read one content line at a time.
 
-    Comment and blank lines are skipped, and every error names the file line
-    of the first offending content line.
+    The reference reader: comment and blank lines are skipped, and every
+    error names the file line of the first offending content line.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = list(map(str.strip, fh.readlines()))
@@ -403,9 +382,6 @@ def _read_lines(path):
     faces = _parse_block(rows[2 + nv :], linenos[2 + nv :], fail, 3, int,
                          "face line must have 3 indices",
                          "unparsable face index", limit=nv)
-    bad = np.flatnonzero(np.any((faces < 0) | (faces >= nv), axis=1))
-    if bad.size:
-        fail(linenos[2 + nv + bad[0]], "face index out of range")
     return vertices, faces
 
 
@@ -413,23 +389,30 @@ def _read_bytes(data: bytes):
     """Vertices and faces of an SMESH file whose bytes are ``data``, or None
     where the file needs the per-line reader.
 
-    Only a file of exactly 2 + V + F lines, ASCII without '#' or '\\r', is
-    read here: the V lines after the header go to numpy's C reader as one
-    block and the rest as another, pulled from the bytes one line at a time,
-    so no list of lines is built.  Anything the per-line reader would report
-    (a header, a count, a field count, a token or an index it rejects, or a
-    blank line, which leaves a block a row short) returns None instead.
+    Any ASCII file is read here.  Its content lines (nonblank, not starting
+    with '#', split where text mode splits them) go to numpy's C reader in
+    two blocks: the V lines after the header and counts, then the rest.  A
+    file with no '#' or '\\r' is read straight from the bytes, one line at a
+    time, so no list of lines is built.  Anything the per-line reader would
+    report (a header, a count, a line count, a field count, a token or an
+    index it rejects) returns None instead; so does a token numpy's reader
+    rejects but Python's ``float``/``int`` take, such as '1_0'.
     """
-    if not data.isascii() or b"\r" in data or b"#" in data:
+    if not data.isascii():
         return None
-    lines = io.BytesIO(data)  # shares the buffer of ``data``
-    if lines.readline().split() != [_MAGIC.encode(), b"4"]:
+    if b"\r" in data or b"#" in data:
+        lines = (t for t in map(bytes.strip, data.splitlines())
+                 if t and not t.startswith(b"#"))
+    else:
+        # the nonblank lines; the BytesIO shares the buffer of ``data``
+        lines = filterfalse(bytes.isspace, io.BytesIO(data))
+    if next(lines, b"").split() != [_MAGIC.encode(), b"4"]:
         return None
     try:
-        nv, nf = (int(t) for t in lines.readline().split())
+        nv, nf = (int(t) for t in next(lines, b"").split())
     except ValueError:
         return None
-    if nv < 3 or nf < 2 or data.count(b"\n") + (not data.endswith(b"\n")) != 2 + nv + nf:
+    if nv < 3 or nf < 2:
         return None
     try:
         with warnings.catch_warnings():
@@ -438,6 +421,8 @@ def _read_bytes(data: bytes):
             faces = np.loadtxt(lines, dtype=int, comments=None, ndmin=2)
     except (ValueError, UserWarning):
         return None
+    # the face block is the rest of the file, so its shape also checks the
+    # number of content lines
     if (vertices.shape != (nv, 4) or faces.shape != (nf, 3)
             or faces.min() < 0 or faces.max() >= nv):
         return None
@@ -447,9 +432,10 @@ def _read_bytes(data: bytes):
 def read_mesh(path) -> TriMesh:
     """Parse an SMESH file, validate all mesh invariants, tag the surface.
 
-    The file's bytes are read once and parsed in two numpy blocks.  Only a
-    file with comments, blank lines, '\\r' line ends or an error is read
-    again, one line at a time, so that an error names the first bad line.
+    The file's bytes are read once and, for any ASCII file, their content
+    lines are parsed in two numpy blocks.  Only a file that parse declines
+    (an error, or a token only Python's parsers take) is read again, one
+    line at a time, so that an error names the first bad line.
 
     The surface tag is inferred from the defining equations (torus pair radii
     or the equatorial slice); foreign meshes that satisfy neither stay

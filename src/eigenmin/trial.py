@@ -147,6 +147,15 @@ def sweep_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sorted_columns(mesh: TriMesh, coord: int, p0):
+    """The distance to p0 and x_i at every vertex, sorted by distance
+    (vertex index breaking ties), as contiguous arrays, so that a slice
+    takes the same numpy loops as the whole."""
+    d = _base_distance(mesh, p0)
+    order = np.lexsort((np.arange(len(d)), d))
+    return d[order], coordinate_function(mesh, coord)[order]
+
+
 def truncation_profile(mesh: TriMesh, coord: int, p0, beta: float) -> np.ndarray:
     """Per-vertex profile data for plotting, as a (V, 5) array.
 
@@ -155,10 +164,7 @@ def truncation_profile(mesh: TriMesh, coord: int, p0, beta: float) -> np.ndarray
     breaking ties), which makes them directly plottable as decay curves.
     """
     (beta,) = _check_betas([beta])
-    d = _base_distance(mesh, p0)
-    order = np.lexsort((np.arange(len(d)), d))
-    d = d[order]
-    x = coordinate_function(mesh, coord)[order]
+    d, x = _sorted_columns(mesh, coord, p0)
     phi, u, err = _truncation(beta, d, x)
     return np.stack([d, phi, u, x, err], axis=1)
 
@@ -261,11 +267,9 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     ``repr`` only, no BLAS.
     """
     betas = _check_betas(betas)
-    block = truncation_profile(mesh, coord, p0, betas[0])
-    # contiguous columns, so every slice takes the same numpy loops as the whole
-    state = (block[:, 0].copy(), block[:, 3].copy(),
-             repr_floats(block[:, [0, 3]]).reshape(-1, 2))
-    edges = [len(block) * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
+    d, x = _sorted_columns(mesh, coord, p0)
+    state = (d, x, repr_floats(np.stack([d, x], axis=1)).reshape(-1, 2))
+    edges = [len(d) * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
     jobs = [(beta, start, stop) for beta in betas
             for start, stop in zip(edges, edges[1:]) if start < stop]
     with open(path, "w", encoding="ascii") as fh:

@@ -51,7 +51,7 @@ def _coo_reference(m):
     """Element-by-element COO assembly of (S, M), duplicates summed by scipy."""
     V, F = m.vertices, m.faces
     n = m.vertex_count
-    areas = mesh.face_geometry(V, F)[5]
+    areas = mesh.face_geometry(V, F)[3]
     s_rows, s_cols, s_vals = [], [], []
     for i in range(3):
         a, b, c = F[:, i], F[:, (i + 1) % 3], F[:, (i + 2) % 3]
@@ -232,7 +232,7 @@ def test_energy_matches_face_gradients(ops32, torus32):
     rng = np.random.default_rng(5)
     u = rng.normal(size=ops32.dim)
     quad = float(u @ (ops32.stiffness @ u))
-    areas = mesh.face_geometry(torus32.vertices, torus32.faces)[5]
+    areas = mesh.face_geometry(torus32.vertices, torus32.faces)[3]
     total = float(np.sum(areas * _face_gradient_sq(torus32, u)))
     assert quad == pytest.approx(total, rel=1e-12)
 

@@ -485,10 +485,10 @@ def test_read_mesh_accepts_python_digit_separators(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# read_mesh parses a plain file from its bytes, in two numpy blocks; a file
-# that reader declines is read one line at a time.  Either way the outcome
-# is the per-line reader's: the same mesh bits, or the same error on the
-# same line.
+# read_mesh parses the content lines of an ASCII file from its bytes, in two
+# numpy blocks; a file that parse declines is read one line at a time.
+# Either way the outcome is the per-line reader's: the same mesh bits, or
+# the same error on the same line.
 # ---------------------------------------------------------------------------
 
 
@@ -525,7 +525,7 @@ _EDITS = {
         lambda lines: "".join("\t".join(t.split()) + " \t \n" for t in lines), True),
     "one crlf line": (
         lambda lines: "\n".join(t + "\r" * (k == 7) for k, t in enumerate(lines)) + "\n",
-        False),
+        True),
     "a cr inside a line": (
         lambda lines: "\n".join(t.replace(" ", "\r", 1) if k == 7 else t
                                 for k, t in enumerate(lines)) + "\n", False),
@@ -533,8 +533,8 @@ _EDITS = {
     "missing line": (lambda lines: "\n".join(lines[:-1]) + "\n", False),
     "extra line": (lambda lines: "\n".join(lines + lines[-1:]) + "\n", False),
     "swapped line": (_swap_line, False),
-    "blank line": (lambda lines: "\n".join(lines[:9] + [""] + lines[9:]) + "\n", False),
-    "blank last line": (lambda lines: "\n".join(lines + ["  "]) + "\n", False),
+    "blank line": (lambda lines: "\n".join(lines[:9] + [""] + lines[9:]) + "\n", True),
+    "blank last line": (lambda lines: "\n".join(lines + ["  "]) + "\n", True),
     "three coordinates everywhere": (
         lambda lines: "\n".join(lines[:2] + [t.rsplit(" ", 1)[0] for t in lines[2:14]]
                                 + lines[14:]) + "\n", False),
@@ -575,9 +575,10 @@ def test_read_mesh_tokens_give_the_per_line_outcome(tmp_path, monkeypatch, where
 
 
 @settings(max_examples=20, deadline=None)
-@given(torus=st.booleans(), level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@given(torus=st.booleans(), level=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       newline=st.sampled_from(["\n", "\r\n"]))
 def test_write_then_read_gives_the_mesh_back_bit_for_bit(tmp_path_factory, torus, level,
-                                                         seed):
+                                                         seed, newline):
     # A random rotation of R^4 gives every coordinate arbitrary bits; a random
     # face order and a cyclic turn of each face keep the mesh closed and
     # oriented.
@@ -590,6 +591,17 @@ def test_write_then_read_gives_the_mesh_back_bit_for_bit(tmp_path_factory, torus
     original = TriMesh(base.vertices @ q, faces)
     path = tmp_path_factory.mktemp("roundtrip") / "m.smesh"
     write_mesh(original, path)
+    loaded = read_mesh(path)
+    assert loaded.vertices.tobytes() == original.vertices.tobytes()
+    assert loaded.faces.tobytes() == original.faces.tobytes()
+    # The same file with the drawn line ends and comment and blank lines
+    # (empty or whitespace) before random lines is still read by numpy.
+    padded = ["# padded"]
+    for line, pad in zip(path.read_text().splitlines(),
+                         rng.integers(0, 4, 2 + len(faces) + len(base.vertices))):
+        padded += [["  # note"], [""], [" \t"], []][pad] + [line]
+    path.write_bytes((newline.join(padded) + newline).encode("ascii"))
+    assert mesh._read_bytes(path.read_bytes()) is not None
     loaded = read_mesh(path)
     assert loaded.vertices.tobytes() == original.vertices.tobytes()
     assert loaded.faces.tobytes() == original.faces.tobytes()
