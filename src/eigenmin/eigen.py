@@ -1,13 +1,16 @@
 """Deterministic low-end eigenpairs of the P1 pencil (S, M).
 
-Problems of dimension up to 600 go through a dense generalized solve.
-Larger ones factor S + M once (sparse LU with a symmetric ordering and
-diagonal pivots) and run shift-invert Lanczos (ARPACK) about sigma = -1
-from a fixed seeded start vector, with two guard pairs beyond the wanted
-ones.  Both paths deflate the constant mode the same way, by dropping the
-eigenvector with the largest mass-weighted mean, and recompute the
-returned residuals from the matrices, so a Spectrum certifies itself:
-||S v - lambda M v|| / ||M v|| <= tolerance holds for every reported pair.
+Only the source of the Ritz pairs depends on the dimension.  Up to 600 it
+is one dense generalized solve, which at the default verify levels serves
+torus 16 (dim 256) and sphere 2 (dim 162).  Larger problems factor S + M
+once (sparse LU with a symmetric ordering and diagonal pivots) and run
+shift-invert Lanczos (ARPACK) about sigma = -1 from a fixed seeded start
+vector, with two guard pairs beyond the wanted ones.  Everything after
+that is shared: the pairs are sorted, the constant mode is deflated by
+dropping the eigenvector with the largest mass-weighted mean, the
+residuals are recomputed from the matrices, and one certificate applies,
+so a Spectrum certifies itself: ||S v - lambda M v|| / ||M v|| <= tolerance
+holds for every reported pair, or NonConvergence is raised.
 
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
 number of eigenvalues below c > 0 is the number of negative pivots of one
@@ -117,6 +120,19 @@ class _Factor:
         x[self.order] = y
         return x
 
+    def negative_pivots(self, shift):
+        """Number of eigenvalues below ``shift`` when A = S - shift M.
+
+        Only a factor that kept its diagonal (perm_r == perm_c) is congruent
+        to A, so only then do its pivots carry A's inertia.
+        """
+        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise SolverError(
+                "the factorization of S - %.12g M left the diagonal; its"
+                " pivots do not give the inertia" % shift
+            )
+        return int(np.count_nonzero(self.lu.U.diagonal() < 0))
+
 
 # MMD_AT_PLUS_A handles the icosphere's vertex numbering badly.  An RCM
 # pre-permutation shrinks the envelope there 15 to 60 times and makes the
@@ -180,20 +196,30 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
                     deflate)
 
 
-def _solve_dense(S, M, k, tol, deflate):
-    from scipy.linalg import eigh
+def _ritz_pairs(S, M, k, deflate, seed):
+    """Ritz pairs of the pencil, the operator applications and, if ARPACK
+    stopped short, what it converged.
 
-    try:
-        vals, vecs = eigh(S.toarray(), M.toarray())
-    except np.linalg.LinAlgError:
-        raise ValueError("mass matrix must be symmetric positive definite")
-    return _ritz_spectrum(S, M, vals, vecs, k, tol, 1, deflate)
+    Up to ``_DENSE_CUTOFF`` every pair comes from one dense generalized
+    solve, counted as one application.  Above it, the k wanted pairs, the
+    constant mode if deflated and the guard pairs come from shift-invert
+    ARPACK about ``_SIGMA`` with one factor of S - sigma M, from a start
+    vector fixed by ``seed``.
+    """
+    dim = S.shape[0]
+    if dim <= _DENSE_CUTOFF:
+        from scipy.linalg import eigh
 
-
-def _solve_shift_invert(S, M, k, tol, deflate, wanted, seed):
+        try:
+            return (*eigh(S.toarray(), M.toarray()), 1, None)
+        except np.linalg.LinAlgError:
+            raise ValueError("mass matrix must be symmetric positive definite")
+    wanted = k + bool(deflate) + _GUARD_PAIRS
+    if wanted >= dim:
+        raise ValueError("k=%d needs %d Ritz pairs; ARPACK computes fewer"
+                         " than dim=%d" % (k, wanted, dim))
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    dim = S.shape[0]
     lu = _factor(S - _SIGMA * M)
     applications = 0
 
@@ -208,22 +234,10 @@ def _solve_shift_invert(S, M, k, tol, deflate, wanted, seed):
         vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
                            tol=0, maxiter=_MAXITER)
     except ArpackNoConvergence as exc:
-        partial = _ritz_spectrum(S, M, exc.eigenvalues, exc.eigenvectors, k,
-                                 tol, applications, deflate)
-        raise NonConvergence(
-            "ARPACK converged %d of %d Ritz pairs after %d operator"
-            " applications" % (exc.eigenvalues.size, wanted, applications),
-            spectrum=partial,
-        ) from exc
-    spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications, deflate)
-    worst = spectrum.residuals.max()
-    if worst > tol:
-        raise NonConvergence(
-            "residual %.3e above tolerance %.1e after %d operator applications"
-            % (worst, tol, applications),
-            spectrum=spectrum,
-        )
-    return spectrum
+        return (exc.eigenvalues, exc.eigenvectors, applications,
+                "ARPACK converged %d of %d Ritz pairs"
+                % (exc.eigenvalues.size, wanted))
+    return vals, vecs, applications, None
 
 
 def _check_tol(tol, name="tol"):
@@ -243,11 +257,13 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     ``ops`` holds the stiffness and mass matrices.  With
     ``deflate_constants`` the constant vector is removed from the search
     space, so the reported eigenvalues start at the first nonzero one.
-    Residuals of the returned pairs are certified below ``tol``; if the
-    iteration budget runs out first, NonConvergence carries the best
-    partial spectrum.  On the sparse path ``seed`` (a non-negative integer
-    on both paths) fixes the start vector and ``Spectrum.iterations``
-    counts applications of the factored inverse; the dense path reports 1.
+    On both paths the pairs are sorted and deflated the same way, and the
+    residuals of the returned pairs are recomputed and certified below
+    ``tol``.  If a residual lies above it, or ARPACK's iteration budget
+    runs out first, NonConvergence carries the best partial spectrum.  On
+    the sparse path ``seed`` (a non-negative integer on both paths) fixes
+    the start vector and ``Spectrum.iterations`` counts applications of the
+    factored inverse; the dense path reports 1.
     """
     S, M = _pencil(ops)
     dim = S.shape[0]
@@ -259,13 +275,17 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     if k > limit:
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
 
-    if dim <= _DENSE_CUTOFF:
-        return _solve_dense(S, M, k, tol, deflate_constants)
-    wanted = k + bool(deflate_constants) + _GUARD_PAIRS
-    if wanted >= dim:
-        raise ValueError("k=%d needs %d Ritz pairs; ARPACK computes fewer"
-                         " than dim=%d" % (k, wanted, dim))
-    return _solve_shift_invert(S, M, k, tol, deflate_constants, wanted, seed)
+    vals, vecs, applications, short = _ritz_pairs(S, M, k, deflate_constants,
+                                                  seed)
+    spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications,
+                              deflate_constants)
+    worst = spectrum.residuals.max(initial=0.0)
+    if short is None and worst > tol:
+        short = "residual %.3e above tolerance %.1e" % (worst, tol)
+    if short is not None:
+        raise NonConvergence("%s after %d operator applications"
+                             % (short, applications), spectrum=spectrum)
+    return spectrum
 
 
 def morse_index(ops: FemOperators, potential_constant: float) -> int:
@@ -280,10 +300,4 @@ def morse_index(ops: FemOperators, potential_constant: float) -> int:
     if not potential_constant > 0:
         raise ValueError("potential constant must be positive")
     S, M = _pencil(ops)
-    lu = _factor(S - potential_constant * M).lu
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(
-            "the factorization of S - %.12g M left the diagonal; its pivots"
-            " do not give the inertia" % potential_constant
-        )
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    return _factor(S - potential_constant * M).negative_pivots(potential_constant)

@@ -70,36 +70,22 @@ def assemble(mesh: TriMesh) -> FemOperators:
     Raises :class:`MeshError` naming the first degenerate face if any
     triangle has (numerically) zero area.
 
-    The face corners are gathered once.  Edge k joins the two corners other
-    than k (e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0), so corner k spans
-    e(k+2) and -e(k+1).  Negation and the order of a product's factors are
-    exact, so each corner's Gram entries carry the bits ``face_geometry``
-    gives the face rotated to start at that corner.  One stable sort of the
-    (row, col) pairs gives the shared CSR pattern, and each entry's face
-    terms are summed in the order the faces come in.
+    The Gram entries at each face corner come from ``face_geometry``.  One
+    stable sort of the (row, col) pairs gives the shared CSR pattern, and
+    each entry's face terms are summed in the order the faces come in.
     """
     from scipy.sparse import csr_matrix
 
     F = mesh.faces
     nv = mesh.vertex_count
-    # Each array is dropped once it is used: the pattern below sets the peak.
-    p0, p1, p2 = (np.take(mesh.vertices, F[:, k], axis=0) for k in range(3))
-    edges = (p2 - p1, np.subtract(p0, p2, out=p2), np.subtract(p1, p0, out=p1))
-    del p0, p1, p2
-    sq = [np.einsum("ij,ij->i", e, e) for e in edges]
-    # corner k: (u.u, v.v, u.v) with u = e(k+2), v = -e(k+1)
-    grams = [(sq[(k + 2) % 3], sq[(k + 1) % 3],
-              -np.einsum("ij,ij->i", edges[(k + 2) % 3], edges[(k + 1) % 3]))
-             for k in range(3)]
-    del edges
-    uu, vv, uv = grams[0]
-    areas = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+    corners, areas = face_geometry(mesh.vertices, F)
     _check_areas(areas)
     half_cot = 0.5 * np.concatenate([
         uv / np.sqrt(np.maximum(uu * vv - uv * uv, _AREA_FLOOR**2))
-        for uu, vv, uv in grams
+        for uu, vv, uv in corners
     ])
-    del grams, sq
+    # Each array is dropped once it is used: the pattern below sets the peak.
+    del corners
 
     # S and M share one sparsity pattern: both directions of every face
     # edge (the edges opposite vertex 0, 1, 2 in turn) plus the diagonal.
@@ -202,9 +188,10 @@ def takahashi_residual(ops: FemOperators, u, n: int) -> float:
     return float(np.sqrt(dual) / (n * np.sqrt(mnorm_sq)))
 
 
-def _gradient_sq(faces, geometry, v) -> np.ndarray:
-    """Per-face squared gradient norm of the P1 interpolant of ``v``."""
-    uu, vv, uv, _ = geometry
+def _gradient_sq(faces, gram, v) -> np.ndarray:
+    """Per-face squared gradient norm of the P1 interpolant of ``v``, from
+    the Gram entries (uu, vv, uv) at corner 0."""
+    uu, vv, uv = gram
     d1 = v[faces[:, 1]] - v[faces[:, 0]]
     d2 = v[faces[:, 2]] - v[faces[:, 0]]
     det = uu * vv - uv * uv
@@ -223,9 +210,9 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
     basis vector onto the face plane, and the squared norms sum to the
     trace of that projection.
     """
-    geometry = face_geometry(mesh.vertices, mesh.faces)
-    _check_areas(geometry[3])
+    corners, areas = face_geometry(mesh.vertices, mesh.faces)
+    _check_areas(areas)
     total = np.zeros(mesh.face_count)
     for x in mesh.vertices.T:
-        total += _gradient_sq(mesh.faces, geometry, x)
+        total += _gradient_sq(mesh.faces, corners[0], x)
     return total

@@ -83,12 +83,16 @@ def validate(mesh: TriMesh) -> None:
         raise MeshError("vertices must be an array of ambient 4-vectors")
     if not np.all(np.isfinite(v)):
         raise MeshError("non-finite vertex coordinate")
-    norms = np.linalg.norm(v, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > 1e-12)[0]
-    if bad.size:
-        raise MeshError(
-            f"off-sphere vertex {bad[0]} (norm {norms[bad[0]]:.12g})"
-        )
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+        bad = np.nonzero(np.abs(norms - 1.0) > 1e-12)[0]
+        if bad.size:
+            # a norm whose squares overflowed may be finite once scaled
+            norm = norms[bad[0]]
+            if np.isinf(norm):
+                scale = np.abs(v[bad[0]]).max()
+                norm = scale * np.linalg.norm(v[bad[0]] / scale)
+            raise MeshError(f"off-sphere vertex {bad[0]} (norm {norm:.12g})")
     if f.ndim != 2 or f.shape[1] != 3:
         raise MeshError("faces must be index triples")
     if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
@@ -246,19 +250,27 @@ def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
 
 
 def face_geometry(vertices: np.ndarray, faces: np.ndarray):
-    """Gram entries u.u, v.v, u.v of the edge vectors u = p1 - p0 and
-    v = p2 - p0 of every face and the flat face areas (Gram determinant
-    form), as the tuple (uu, vv, uv, areas)."""
+    """Gram entries of every face at each of its corners, and the flat face
+    areas (Gram determinant form), as ``(corners, areas)``.
+
+    Edge k joins the two corners other than k (e0 = p2 - p1, e1 = p0 - p2,
+    e2 = p1 - p0), and ``corners[k]`` is (u.u, v.v, u.v) for the edges
+    u = e(k+2) and v = -e(k+1) that leave corner k.  Negation and the order
+    of a product's factors are exact, so corner k carries the bits of the
+    face rotated to start at k, with u = p(k+1) - pk and v = p(k+2) - pk.
+    """
     # np.take copies whole rows, several times faster than fancy indexing;
     # the in-place differences save two fresh (F, 4) arrays
-    p0, u, v = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
-    u -= p0
-    v -= p0
-    uu = np.einsum("ij,ij->i", u, u)
-    vv = np.einsum("ij,ij->i", v, v)
-    uv = np.einsum("ij,ij->i", u, v)
-    areas = 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
-    return uu, vv, uv, areas
+    p0, p1, p2 = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
+    edges = (p2 - p1, np.subtract(p0, p2, out=p2), np.subtract(p1, p0, out=p1))
+    del p0, p1, p2
+    sq = [np.einsum("ij,ij->i", e, e) for e in edges]
+    corners = [(sq[(k + 2) % 3], sq[(k + 1) % 3],
+                -np.einsum("ij,ij->i", edges[(k + 2) % 3], edges[(k + 1) % 3]))
+               for k in range(3)]
+    del edges
+    uu, vv, uv = corners[0]
+    return corners, 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:
@@ -275,7 +287,7 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
         face_count=mesh.face_count,
         euler_char=mesh.vertex_count - len(edges) + mesh.face_count,
         max_edge=float(np.linalg.norm(diff, axis=1).max()),
-        total_area=float(face_geometry(mesh.vertices, mesh.faces)[3].sum()),
+        total_area=float(face_geometry(mesh.vertices, mesh.faces)[1].sum()),
     )
 
 
@@ -309,8 +321,10 @@ def write_mesh(mesh: TriMesh, path) -> None:
 
 
 def _infer_surface(vertices: np.ndarray):
-    r1 = vertices[:, 0] ** 2 + vertices[:, 1] ** 2
-    r2 = vertices[:, 2] ** 2 + vertices[:, 3] ** 2
+    # a huge coordinate makes r1 or r2 inf, which fails the torus test
+    with np.errstate(over="ignore"):
+        r1 = vertices[:, 0] ** 2 + vertices[:, 1] ** 2
+        r2 = vertices[:, 2] ** 2 + vertices[:, 3] ** 2
     if np.all(np.abs(r1 - 0.5) <= 1e-9) and np.all(np.abs(r2 - 0.5) <= 1e-9):
         return clifford_torus(), _torus_params(vertices)
     if np.all(np.abs(vertices[:, 3]) <= 1e-12):

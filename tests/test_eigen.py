@@ -1,5 +1,7 @@
 """Tests for the deterministic generalized eigensolver and index counting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -160,6 +162,34 @@ def test_nonconvergence_carries_best_spectrum(ops64, monkeypatch):
     assert "converged" in str(err)
 
 
+@pytest.mark.parametrize("name", ["ops16", "ops32"], ids=["dense", "arpack"])
+def test_one_residual_certificate_on_both_paths(request, name):
+    # Scaled by 1e6, the pencil's residuals grow past tol=1e-8.  Torus 16
+    # takes the dense path and torus 32 ARPACK; both raise, with the six
+    # sorted, deflated pairs and their residuals recomputed.
+    ops = request.getfixturevalue(name)
+    S, M = 1e6 * ops.stiffness, ops.mass
+    scaled = _ops(S, M)
+    with pytest.raises(NonConvergence, match=r"^residual \S+ above tolerance"
+                       r" 1\.0e-08 after \d+ operator applications$") as info:
+        solve_lowest(scaled, 6)
+    spectrum = info.value.spectrum
+    assert spectrum.eigenvalues.size == 6
+    np.testing.assert_allclose(spectrum.eigenvalues,
+                               1e6 * solve_lowest(ops, 6).eigenvalues, rtol=1e-9)
+    recomputed = [np.linalg.norm(S @ v - lam * (M @ v)) / np.linalg.norm(M @ v)
+                  for lam, v in zip(spectrum.eigenvalues, spectrum.eigenvectors.T)]
+    np.testing.assert_allclose(spectrum.residuals, recomputed, rtol=1e-12)
+    # The pairs do not depend on tol: they certify at their worst residual
+    # and at no tolerance below it.
+    worst = spectrum.residuals.max()
+    assert worst > 1e-8
+    at_worst = solve_lowest(scaled, 6, tol=worst)
+    assert np.array_equal(at_worst.eigenvalues, spectrum.eigenvalues)
+    with pytest.raises(NonConvergence, match="residual %.3e above" % worst):
+        solve_lowest(scaled, 6, tol=worst / 2)
+
+
 @pytest.mark.parametrize("subdiv, k, seed", [(3, 5, 0), (3, 4, 7), (3, 6, 9),
                                              (4, 6, 10)])
 def test_last_pair_inside_a_cluster_certifies(subdiv, k, seed):
@@ -299,6 +329,27 @@ def test_morse_index_invariant_under_vertex_renumbering(ops32):
     assert not np.array_equal(eigen._factor(S + M).order, np.arange(ops32.dim))
     for c in (2.0, 4.0, 9.0):
         assert morse_index(_ops(S, M), c) == morse_index(ops32, c)
+
+
+def _stub_factor(monkeypatch, perm_r, perm_c, pivots):
+    """Make every factorization return a SuperLU stand-in with the given
+    row and column permutations and diagonal of U."""
+    lu = SimpleNamespace(perm_r=np.array(perm_r), perm_c=np.array(perm_c),
+                         U=sp.diags(pivots))
+    monkeypatch.setattr(eigen, "_factor",
+                        lambda A: eigen._Factor(lu, np.arange(A.shape[0])))
+
+
+def test_morse_index_rejects_a_factor_that_left_the_diagonal(monkeypatch):
+    _stub_factor(monkeypatch, [1, 0, 2], [0, 1, 2], [-1.0, 1.0, 2.0])
+    with pytest.raises(SolverError, match=r"S - 1\.5 M left the diagonal"):
+        morse_index(_diag_pencil(), 1.5)
+
+
+def test_morse_index_does_not_count_a_zero_pivot(monkeypatch):
+    # A zero pivot is an eigenvalue at the shift, not below it.
+    _stub_factor(monkeypatch, [2, 0, 1], [2, 0, 1], [-1.0, 0.0, 2.0])
+    assert morse_index(_diag_pencil(), 1.0) == 1
 
 
 def test_morse_index_computes_no_eigenpairs(monkeypatch, ops32):

@@ -51,7 +51,7 @@ def _coo_reference(m):
     """Element-by-element COO assembly of (S, M), duplicates summed by scipy."""
     V, F = m.vertices, m.faces
     n = m.vertex_count
-    areas = mesh.face_geometry(V, F)[3]
+    areas = mesh.face_geometry(V, F)[1]
     s_rows, s_cols, s_vals = [], [], []
     for i in range(3):
         a, b, c = F[:, i], F[:, (i + 1) % 3], F[:, (i + 2) % 3]
@@ -224,15 +224,15 @@ def test_project_mean_zero(ops64, torus64):
 
 def _face_gradient_sq(m, u):
     """Per-face squared gradient norm of the P1 interpolant of ``u``."""
-    geometry = mesh.face_geometry(m.vertices, m.faces)
-    return fem._gradient_sq(m.faces, geometry, np.asarray(u, dtype=float))
+    corners, _ = mesh.face_geometry(m.vertices, m.faces)
+    return fem._gradient_sq(m.faces, corners[0], np.asarray(u, dtype=float))
 
 
 def test_energy_matches_face_gradients(ops32, torus32):
     rng = np.random.default_rng(5)
     u = rng.normal(size=ops32.dim)
     quad = float(u @ (ops32.stiffness @ u))
-    areas = mesh.face_geometry(torus32.vertices, torus32.faces)[3]
+    areas = mesh.face_geometry(torus32.vertices, torus32.faces)[1]
     total = float(np.sum(areas * _face_gradient_sq(torus32, u)))
     assert quad == pytest.approx(total, rel=1e-12)
 

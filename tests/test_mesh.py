@@ -84,6 +84,21 @@ def test_mesh_stats_edges_match_all_directed_edges(maker):
     assert st.euler_char == m.vertex_count - edge_count + m.face_count
 
 
+@pytest.mark.parametrize("name", ["torus16", "sphere2"])
+def test_face_geometry_corner_k_is_the_face_rotated_to_start_at_k(name, request):
+    # The Gram entries at corner k carry the bits of u = p(k+1) - pk and
+    # v = p(k+2) - pk; at corner 0 these are the face's own edge vectors.
+    m = request.getfixturevalue(name)
+    corners, _ = mesh.face_geometry(m.vertices, m.faces)
+    for k in range(3):
+        f = np.roll(m.faces, -k, axis=1)
+        u = m.vertices[f[:, 1]] - m.vertices[f[:, 0]]
+        v = m.vertices[f[:, 2]] - m.vertices[f[:, 0]]
+        want = [np.einsum("ij,ij->i", a, b) for a, b in ((u, u), (v, v), (u, v))]
+        for got, entry in zip(corners[k], want):
+            assert np.array_equal(got, entry)
+
+
 def test_sphere_subdivision_guards():
     with pytest.raises(MeshError):
         generate_sphere(-1)
@@ -482,6 +497,21 @@ def test_read_mesh_accepts_python_digit_separators(tmp_path):
     lines[3] = "1_0 " + lines[3].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
     assert _read_error(path).startswith("off-sphere vertex 1 (norm 10.")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_read_mesh_names_a_huge_vertex_norm_without_overflow(tmp_path):
+    # The squares of 1e200 overflow, the norm does not: scaled by the
+    # largest coordinate, it comes out finite, with no numpy warning.
+    lines = _ico_lines(tmp_path)
+    lines[2] = "1e200 0.0 0.0 0.0"
+    path = tmp_path / "huge.smesh"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == "off-sphere vertex 0 (norm 1e+200)"
+    # a norm beyond the largest float is inf, still without a warning
+    lines[2] = "1.5e308 1.5e308 0.0 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == "off-sphere vertex 0 (norm inf)"
 
 
 # ---------------------------------------------------------------------------
