@@ -11,6 +11,9 @@ Point conventions:
   (cos t, sin t, cos p, sin p) / sqrt(2).
 * Equatorial sphere: no global chart exists, so points are ambient unit
   vectors of length n + 2 whose last coordinate is 0.
+
+``embed`` maps points to ambient coordinates and ``chart`` maps ambient
+coordinates back; no other code converts between the two.
 """
 
 from __future__ import annotations
@@ -119,6 +122,20 @@ def embed(surface: CanonicalSurface, p) -> np.ndarray:
     out = p / norms[..., None]
     out[..., -1] = 0.0
     return out
+
+
+def chart(surface: CanonicalSurface, x) -> np.ndarray:
+    """Inverse of ``embed``: the parametric points of ambient points x.
+
+    For the torus each angle is the arctan2 of its circle's two coordinates,
+    reduced to [0, 2 pi); for the sphere the points are the ambient vectors
+    themselves.  Accepts stacked points in the leading axes.
+    """
+    x = np.asarray(x, dtype=float)
+    if surface.kind != "clifford":
+        return x
+    return np.stack([np.mod(np.arctan2(x[..., k + 1], x[..., k]), TWO_PI)
+                     for k in (0, 2)], axis=-1)
 
 
 def geodesic_distance(surface: CanonicalSurface, p, q):

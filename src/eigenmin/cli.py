@@ -211,7 +211,7 @@ def cmd_rayleigh(args):
 
 def cmd_sweep(args):
     mesh = _load_mesh(args)
-    if mesh.surface is None or mesh.param_coords is None:
+    if mesh.surface is None:
         raise UsageError("sweep needs a canonical mesh (unrecognized vertices)")
     betas = _parse_floats(args.betas, "--betas")
     try:

@@ -260,7 +260,8 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     On both paths the pairs are sorted and deflated the same way, and the
     residuals of the returned pairs are recomputed and certified below
     ``tol``.  If a residual lies above it, or ARPACK's iteration budget
-    runs out first, NonConvergence carries the best partial spectrum.  On
+    runs out first, NonConvergence carries the best partial spectrum, and
+    its message names the operator applications spent or the dense solve.  On
     the sparse path ``seed`` (a non-negative integer on both paths) fixes
     the start vector and ``Spectrum.iterations`` counts applications of the
     factored inverse; the dense path reports 1.
@@ -283,8 +284,9 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     if short is None and worst > tol:
         short = "residual %.3e above tolerance %.1e" % (worst, tol)
     if short is not None:
-        raise NonConvergence("%s after %d operator applications"
-                             % (short, applications), spectrum=spectrum)
+        work = ("the dense solve" if dim <= _DENSE_CUTOFF
+                else "%d operator applications" % applications)
+        raise NonConvergence("%s after %s" % (short, work), spectrum=spectrum)
     return spectrum
 
 

@@ -4,6 +4,9 @@ All meshes live in R^4 with every vertex exactly on the unit sphere: the
 torus meshes sample the flat (theta, phi) grid, the sphere meshes are
 subdivided icosahedra pushed into the equatorial slice x_4 = 0.  Meshes are
 immutable once built; generation and (de)serialization are pure functions.
+A mesh holds its vertices, faces and surface tag and nothing else, which is
+exactly what an SMESH file holds; the surface's parametric points of the
+vertices are ``canonical.chart`` of their coordinates.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ class TriMesh:
 
     vertices: (V, 4) float array; faces: (F, 3) int array of consistently
     oriented triangles; surface: the canonical surface the mesh discretizes
-    (None for foreign meshes); param_coords: per-vertex parametric points
-    ((V, 2) angles for the torus, the ambient vectors themselves for the
-    sphere), or None.
+    (None for foreign meshes).  That is all a mesh holds, and all its SMESH
+    file holds: a vertex's parametric point is ``canonical.chart`` of its
+    coordinates, so ``generate`` and ``read_mesh`` of the written file give
+    equal meshes, field for field.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
     surface: CanonicalSurface | None = None
-    param_coords: np.ndarray | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -152,9 +155,8 @@ def generate_torus(resolution: int) -> TriMesh:
                         " level in the README's time and memory budget")
     angles = TWO_PI * np.arange(resolution) / resolution
     theta, phi = np.meshgrid(angles, angles, indexing="ij")
-    params = np.stack([theta.ravel(), phi.ravel()], axis=1)
     surface = clifford_torus()
-    vertices = embed(surface, params)
+    vertices = embed(surface, np.stack([theta.ravel(), phi.ravel()], axis=1))
 
     n = resolution
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -165,7 +167,7 @@ def generate_torus(resolution: int) -> TriMesh:
     lower = np.stack([v00.ravel(), v10.ravel(), v11.ravel()], axis=1)
     upper = np.stack([v00.ravel(), v11.ravel(), v01.ravel()], axis=1)
     faces = np.concatenate([lower, upper], axis=0)
-    return TriMesh(vertices, faces, surface, params)
+    return TriMesh(vertices, faces, surface)
 
 
 # Icosahedron inscribed in the unit sphere, faces wound counterclockwise as
@@ -214,12 +216,6 @@ def _split_edges(vertices: np.ndarray, faces: np.ndarray):
     return merged, out
 
 
-def _torus_params(vertices: np.ndarray) -> np.ndarray:
-    theta = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]), TWO_PI)
-    phi = np.mod(np.arctan2(vertices[:, 3], vertices[:, 2]), TWO_PI)
-    return np.stack([theta, phi], axis=1)
-
-
 def generate_sphere(subdivisions: int) -> TriMesh:
     """Icosahedral mesh of the equatorial 2-sphere in the slice x_4 = 0."""
     if subdivisions < 0:
@@ -234,7 +230,7 @@ def generate_sphere(subdivisions: int) -> TriMesh:
         verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
     v4 = np.zeros((len(verts), 4))
     v4[:, :3] = verts
-    return TriMesh(v4, faces, equatorial_sphere(2), v4)
+    return TriMesh(v4, faces, equatorial_sphere(2))
 
 
 def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
@@ -326,10 +322,10 @@ def _infer_surface(vertices: np.ndarray):
         r1 = vertices[:, 0] ** 2 + vertices[:, 1] ** 2
         r2 = vertices[:, 2] ** 2 + vertices[:, 3] ** 2
     if np.all(np.abs(r1 - 0.5) <= 1e-9) and np.all(np.abs(r2 - 0.5) <= 1e-9):
-        return clifford_torus(), _torus_params(vertices)
+        return clifford_torus()
     if np.all(np.abs(vertices[:, 3]) <= 1e-12):
-        return equatorial_sphere(2), vertices
-    return None, None
+        return equatorial_sphere(2)
+    return None
 
 
 def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
@@ -458,7 +454,6 @@ def read_mesh(path) -> TriMesh:
     with open(path, "rb") as fh:
         blocks = _read_bytes(fh.read())
     vertices, faces = _read_lines(path) if blocks is None else blocks
-    surface, params = _infer_surface(vertices)
-    mesh = TriMesh(vertices, faces, surface, params)
+    mesh = TriMesh(vertices, faces, _infer_surface(vertices))
     validate(mesh)
     return mesh

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fork
-from .canonical import geodesic_distance
+from .canonical import chart, geodesic_distance
 from .fem import (
     FemOperators,
     _values,
@@ -77,9 +77,9 @@ def _truncation(beta: float, d: np.ndarray, x: np.ndarray):
 
 def _base_distance(mesh: TriMesh, p0) -> np.ndarray:
     """Geodesic distance from every vertex to the base point p0."""
-    if mesh.surface is None or mesh.param_coords is None:
-        raise ValueError("truncation functions need a mesh with surface parameters")
-    return np.asarray(geodesic_distance(mesh.surface, mesh.param_coords, p0))
+    if mesh.surface is None:
+        raise ValueError("truncation functions need a mesh of a canonical surface")
+    return geodesic_distance(mesh.surface, chart(mesh.surface, mesh.vertices), p0)
 
 
 def build_truncation(mesh: TriMesh, coord: int, p0, beta: float) -> np.ndarray:

@@ -669,7 +669,7 @@ def usage_files(tmp_path_factory):
     sphere = mesh.generate_sphere(1)
     turn = np.eye(4)
     turn[2:, 2:] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
-    foreign = mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None, None)
+    foreign = mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None)
     mesh.write_mesh(foreign, root / "foreign.smesh")
     (root / "bad.cfg").write_text("count = 3\nn 2\n")
     (root / "level.cfg").write_text("resolution = 12\n")

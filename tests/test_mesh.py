@@ -1,5 +1,6 @@
 """Tests for mesh generation, validation, and serialization."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -39,8 +40,8 @@ def test_torus_vertices_on_unit_sphere(torus64):
     # Both circle radii are 1/sqrt(2).
     r1 = np.hypot(torus64.vertices[:, 0], torus64.vertices[:, 1])
     assert np.max(np.abs(r1 - 1.0 / math.sqrt(2.0))) < 1e-14
-    assert torus64.param_coords is not None
-    assert torus64.param_coords.shape == (torus64.vertex_count, 2)
+    params = canonical.chart(torus64.surface, torus64.vertices)
+    assert params.shape == (torus64.vertex_count, 2)
 
 
 def test_torus_resolution_guard():
@@ -165,7 +166,9 @@ def test_roundtrip_bit_exact(maker, tmp_path):
     assert np.array_equal(loaded.vertices, original.vertices)
     assert np.array_equal(loaded.faces, original.faces)
     assert loaded.surface == original.surface
-    assert loaded.param_coords is not None
+    re_embedded = canonical.embed(loaded.surface,
+                                  canonical.chart(loaded.surface, loaded.vertices))
+    assert np.max(np.abs(re_embedded - loaded.vertices)) < 1e-12
     # A second write of the loaded mesh is byte-identical.
     path2 = tmp_path / "again.smesh"
     write_mesh(loaded, path2)
@@ -177,8 +180,52 @@ def test_read_mesh_infers_torus_params(tmp_path, torus16):
     write_mesh(torus16, path)
     loaded = read_mesh(path)
     assert loaded.surface is not None and loaded.surface.kind == "clifford"
-    re_embedded = canonical.embed(canonical.clifford_torus(), loaded.param_coords)
+    params = canonical.chart(loaded.surface, loaded.vertices)
+    re_embedded = canonical.embed(canonical.clifford_torus(), params)
     assert np.max(np.abs(re_embedded - loaded.vertices)) < 1e-12
+
+
+# Each surface's level flag, and the coordinate and base point of the trial
+# functions sampled on it.
+_READ_BACK = {
+    "clifford": ("--resolution", ["--coord", "3", "--p0=2.1,6.2"]),
+    "sphere": ("--subdiv", ["--coord", "2", "--p0=0.48,0.6,0.64,0.0"]),
+}
+
+
+@pytest.mark.parametrize("kind, level", [("clifford", 3), ("clifford", 16),
+                                         ("clifford", 64), ("sphere", 0),
+                                         ("sphere", 2), ("sphere", 4)],
+                         ids=["torus3", "torus16", "torus64", "sphere0",
+                              "sphere2", "sphere4"])
+def test_generated_mesh_equals_its_read_back(kind, level, tmp_path):
+    # A mesh holds only what its SMESH file holds, so reading the file back
+    # gives the generated mesh field for field, and every command that
+    # samples a trial function gives the same bytes from --surface and
+    # from --mesh.
+    generated = generate(canonical.CanonicalSurface(kind, 2), level)
+    path = tmp_path / "m.smesh"
+    write_mesh(generated, path)
+    loaded = read_mesh(path)
+    for field in dataclasses.fields(TriMesh):
+        ours, theirs = getattr(generated, field.name), getattr(loaded, field.name)
+        if isinstance(ours, np.ndarray):
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), field.name
+            assert ours.tobytes() == theirs.tobytes(), field.name
+        else:
+            assert ours == theirs, field.name
+    flag, trial = _READ_BACK[kind]
+    outputs = {}
+    for source, argv in (("surface", ["--surface", kind, flag, str(level)]),
+                         ("mesh", ["--mesh", str(path)])):
+        files = [tmp_path / f"{source}-{name}" for name in
+                 ("sweep.csv", "profiles.csv", "rayleigh.txt")]
+        assert cli.main(["sweep", *argv, *trial, "--out", str(files[0]),
+                         "--profiles", str(files[1])]) == 0
+        assert cli.main(["rayleigh", *argv, *trial, "--beta", "4",
+                         "--out", str(files[2])]) == 0
+        outputs[source] = [f.read_bytes() for f in files]
+    assert outputs["surface"] == outputs["mesh"]
 
 
 def test_read_mesh_error_paths(tmp_path):
@@ -357,6 +404,9 @@ def test_split_edges_matches_loop_reference(name, request):
 # Stable bytes.  The SMESH and --profiles formats are part of the interface;
 # these digests were taken before the writers were vectorized (numpy 2.4,
 # x86-64).  A platform whose cos/sin/exp round differently changes them.
+# The torus profiles digest is that of the mesh read back from its SMESH
+# file: a generated torus takes its angles from its vertices, as a read one
+# always has, and no longer from the exact grid angles.
 # ---------------------------------------------------------------------------
 
 GOLDEN_SMESH = {
@@ -366,7 +416,7 @@ GOLDEN_SMESH = {
 GOLDEN_PROFILES = {
     "torus16": (["--surface", "clifford", "--resolution", "16",
                  "--coord", "3", "--p0", "0.3,1.7"],
-                "3b54119bb612007882215f28c5d12cabc52d5e2fc7b0ccc38827e15af8fda0e7"),
+                "b8fb0865e5e874e9128904a9ccc668860ba3086a33034802188be1472f59775d"),
     "sphere2": (["--surface", "sphere", "--subdiv", "2",
                  "--coord", "2", "--p0", "0.48,0.6,0.64,0.0"],
                 "af9a6579634e7f916f71c74d50ea275fd65159e8b892a912d715df2570c9f211"),

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from eigenmin import _fork, canonical
+from eigenmin.mesh import TriMesh, validate
 from eigenmin.trial import (
     SWEEP_HEADER,
+    _base_distance,
     build_truncation,
     orthogonality_defect,
     sweep_beta,
@@ -47,7 +49,8 @@ def test_truncation_value_worked_example(torus64):
     u = build_truncation(torus64, 1, P0, 1.0)
     j = int(
         np.argmin(
-            np.linalg.norm(torus64.param_coords - np.array([math.pi, math.pi]), axis=1)
+            np.linalg.norm(canonical.chart(TORUS, torus64.vertices)
+                           - np.array([math.pi, math.pi]), axis=1)
         )
     )
     exact = (-1.0 / math.sqrt(2.0)) * (1.0 - math.exp(-math.pi**2))
@@ -58,8 +61,26 @@ def test_truncation_value_worked_example(torus64):
 def test_truncation_vanishes_at_base(torus64):
     # phi(0) = 1 - 1/beta, so u(p0) = x(p0) (1 - 1/beta); with beta = 1 it is 0.
     u = build_truncation(torus64, 1, P0, 1.0)
-    j = int(np.argmin(np.linalg.norm(torus64.param_coords, axis=1)))
+    j = int(np.argmin(np.linalg.norm(canonical.chart(TORUS, torus64.vertices), axis=1)))
     assert u[j] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name, p0", [("torus16", (2.1, 6.2)),
+                                      ("sphere2", (0.48, 0.6, 0.64, 0.0))],
+                         ids=["torus16", "sphere2"])
+def test_base_distance_reads_the_vertices_alone(name, p0, request):
+    # A mesh built by hand from renumbered vertices, with its faces and
+    # surface and nothing else, has the generated mesh's distances,
+    # renumbered the same way: the chart is taken from the vertices.
+    generated = request.getfixturevalue(name)
+    perm = np.random.default_rng(0).permutation(generated.vertex_count)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    by_hand = TriMesh(generated.vertices[perm], rank[generated.faces],
+                      generated.surface)
+    validate(by_hand)
+    assert np.array_equal(_base_distance(by_hand, p0),
+                          _base_distance(generated, p0)[perm])
 
 
 def test_truncation_approaches_coordinate(torus64):
@@ -206,7 +227,7 @@ def test_profile_rows_sorted_and_consistent(torus16):
         assert err == pytest.approx(abs(u - x), abs=1e-15)
         assert err == pytest.approx(abs(x) * phi, rel=1e-12, abs=1e-15)
     # u_beta is the truncation build_truncation samples, bit for bit.
-    d = np.asarray(canonical.geodesic_distance(TORUS, torus16.param_coords, P0))
+    d = canonical.geodesic_distance(TORUS, canonical.chart(TORUS, torus16.vertices), P0)
     order = np.lexsort((np.arange(torus16.vertex_count), d))
     assert np.array_equal(rows[:, 0], d[order])
     assert np.array_equal(rows[:, 2], build_truncation(torus16, 1, P0, 2.0)[order])
