@@ -294,26 +294,16 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
 _MAGIC = "SMESH"
 
 
-def repr_floats(values) -> np.ndarray:
-    """``repr`` of every float in ``values``, flattened, as an object array.
-
-    Calls ``repr`` once per distinct bit pattern, so repeated values (and
-    there are many in meshes and decay profiles) cost one lookup each;
-    -0.0 and 0.0 have different patterns and keep their own strings.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return strings[inverse]
-
-
 def write_mesh(mesh: TriMesh, path) -> None:
+    from . import _text
+
     nv, width = mesh.vertices.shape
-    vertex_rows = (" ".join(["%s"] * width) + "\n") * nv
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_MAGIC} 4\n{nv} {mesh.face_count}\n")
-        fh.write(vertex_rows % tuple(repr_floats(mesh.vertices).tolist()))
-        fh.write(("%d %d %d\n" * mesh.face_count) % tuple(mesh.faces.ravel().tolist()))
+    text = _text.float_text(mesh.vertices).reshape(nv, width, _text.WIDTH)
+    with open(path, "wb") as fh:
+        fh.write(f"{_MAGIC} 4\n{nv} {mesh.face_count}\n".encode("ascii"))
+        fh.write(_text.rows([text[:, i] for i in range(width)], sep=b" "))
+        faces = ("%d %d %d\n" * mesh.face_count) % tuple(mesh.faces.ravel().tolist())
+        fh.write(faces.encode("ascii"))
 
 
 def _infer_surface(vertices: np.ndarray):

@@ -27,7 +27,7 @@ from .fem import (
     project_mean_zero,
     rayleigh,
 )
-from .mesh import TriMesh, repr_floats
+from .mesh import TriMesh
 
 __all__ = [
     "SweepRecord",
@@ -173,34 +173,33 @@ def truncation_profile(mesh: TriMesh, coord: int, p0, beta: float) -> np.ndarray
 _PROFILE_SLICES = 8
 
 
-def _profile_rows(state, job):
+def _profile_rows(state, job) -> bytes:
     """The profile rows of one (beta, start, stop) job, formatted.
 
     ``state`` holds the distance-sorted distance and x_i columns and their
-    ``repr`` strings; only the beta-dependent columns are computed here.
-    Where u_beta is x_i to the bit (phi_beta too small to move it), it takes
-    x_i's string.
+    texts; only the beta-dependent columns are computed here.  Where u_beta
+    is x_i to the bit (phi_beta too small to move it), it takes x_i's text.
     """
-    d, x, fixed = state
+    from . import _text
+
+    d, x, d_text, x_text = state
     beta, start, stop = job
     n = stop - start
-    x = x[start:stop]
+    x, x_text = x[start:stop], x_text[start:stop]
     phi, u, err = _truncation(beta, d[start:stop], x)
     moved = u.view(np.int64) != x.view(np.int64)
-    strings = repr_floats(np.concatenate([phi, err, u[moved]]))
-    cells = np.empty((n, 5), dtype=object)
-    cells[:, [0, 3]] = fixed[start:stop]
-    cells[:, 1], cells[:, 4] = strings[:n], strings[n:2 * n]
-    cells[:, 2] = cells[:, 3]
-    cells[moved, 2] = strings[2 * n:]
-    row = repr(beta) + ",%s,%s,%s,%s,%s\n"
-    return (row * n) % tuple(cells.ravel().tolist())
+    texts = _text.float_text(np.concatenate([phi, err, u[moved]]))
+    u_text = x_text.copy()
+    u_text[moved] = texts[2 * n:]
+    beta_text = np.frombuffer(repr(beta).encode("ascii"), np.uint8)
+    return _text.rows([np.broadcast_to(beta_text, (n, beta_text.size)), d_text[start:stop],
+                       texts[:n], u_text, x_text, texts[n:2 * n]])
 
 
 def _write_head(fh, state, jobs, ends):
     """Write the header, then each job from ``ends[0]`` on that still comes
     before ``ends[1]``."""
-    fh.write(PROFILES_HEADER + "\n")
+    fh.write(PROFILES_HEADER.encode("ascii") + b"\n")
     while ends[0] < ends[1]:
         fh.write(_profile_rows(state, jobs[ends[0]]))
         ends[0] += 1
@@ -229,7 +228,7 @@ def _write_with_tail(fh, state, jobs):
                 return
             offset, first = int(ends[2]), int(ends[0])
             for text in reversed(rows[:len(jobs) - first]):
-                data = memoryview(text.encode("ascii"))
+                data = memoryview(text)
                 while data:
                     written = os.pwrite(fh.fileno(), data, offset)
                     data, offset = data[written:], offset + written
@@ -253,7 +252,7 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     """Write the decay profiles as CSV, one block of distance-sorted rows per
     beta (the rows of ``truncation_profile``, beta first).
 
-    Distance, x_i and their strings are made once per sweep.  Each block is
+    Distance, x_i and their texts are made once per sweep.  Each block is
     cut into row slices that format independently.  Where a second CPU is
     usable (``_fork.cpus``) and the file is seekable, this process writes
     slices from the first while one forked child formats them from the
@@ -263,16 +262,18 @@ def write_profiles(path, mesh: TriMesh, coord: int, p0, betas) -> None:
     with ``os.pwrite``, so no row passes through a pipe.  If this process
     fails before the handoff, the ends meet at once and the child writes
     nothing.  Small betas cost up to five times as much, so that is where
-    the work is even, not the middle.  The child runs elementwise numpy and
-    ``repr`` only, no BLAS.
+    the work is even, not the middle.  The child runs elementwise numpy
+    only, no BLAS: ``_text.float_text`` gives each float ``repr``'s bytes.
     """
+    from . import _text
+
     betas = _check_betas(betas)
     d, x = _sorted_columns(mesh, coord, p0)
-    state = (d, x, repr_floats(np.stack([d, x], axis=1)).reshape(-1, 2))
+    state = (d, x, _text.float_text(d), _text.float_text(x))
     edges = [len(d) * i // _PROFILE_SLICES for i in range(_PROFILE_SLICES + 1)]
     jobs = [(beta, start, stop) for beta in betas
             for start, stop in zip(edges, edges[1:]) if start < stop]
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         if _fork.cpus() >= 2 and fh.seekable():
             _write_with_tail(fh, state, jobs)
         else:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigenmin import _fork, canonical, cli, mesh, trial, verify
+from eigenmin import _fork, _text, canonical, cli, mesh, trial, verify
 from eigenmin.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -430,14 +430,14 @@ def test_sweep_profiles_bytes_do_not_depend_on_where_the_ends_meet(
 def test_sweep_profiles_worker_error_exits_2(tmp_path, monkeypatch, capsys,
                                             forked_profiles):
     parent = os.getpid()
-    real = trial.repr_floats
+    real = _text.float_text
 
     def fail_in_child(values):
         if os.getpid() != parent:
             raise ValueError("formatting failed in child %d" % os.getpid())
         return real(values)
 
-    monkeypatch.setattr(trial, "repr_floats", fail_in_child)
+    monkeypatch.setattr(_text, "float_text", fail_in_child)
     assert main(_profiles_argv(tmp_path, "p.csv")) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: formatting failed in child" in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenmin import canonical, cli, mesh
+from eigenmin import _text, canonical, cli, mesh
 from eigenmin.mesh import (
     MeshError,
     TriMesh,
@@ -454,11 +454,16 @@ def test_sweep_profiles_golden_bytes_pooled(name, tmp_path, forked_profiles):
     assert _profiles_sha256(argv, tmp_path) == digest
 
 
-def test_repr_floats_matches_repr():
+def _float_lines(values):
+    return _text.rows([_text.float_text(values)]).decode("ascii").splitlines()
+
+
+def test_float_text_matches_repr(monkeypatch):
+    monkeypatch.setattr(_text, "_FEW", 0)  # the kernel, also for a few values
     values = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 2.0, 0.1, -0.0]
-    assert mesh.repr_floats(values).tolist() == list(map(repr, values))
+    assert _float_lines(values) == list(map(repr, values))
     grid = np.array(values[:6]).reshape(2, 3)
-    assert mesh.repr_floats(grid).tolist() == list(map(repr, grid.ravel().tolist()))
+    assert _float_lines(grid) == list(map(repr, grid.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

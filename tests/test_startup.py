@@ -1,6 +1,7 @@
 """Start-up: importing the package, and the commands that solve nothing,
 load no scipy; the commands that solve load it at their first solve.  The
-import sets one BLAS thread unless a variable or numpy came first.
+float-text tables are built at first use.  The import sets one BLAS thread
+unless a variable or numpy came first.
 
 Each case runs in a fresh interpreter, because this one has scipy loaded.
 """
@@ -64,6 +65,27 @@ def test_spectrum_loads_scipy_at_its_first_solve(resolution, solver):
     codes, loaded = _fresh("eigenmin.cli", [argv])
     assert codes == [0]
     assert solver in loaded
+
+
+# argv[1]: the package's parent directory.  Prints whether the float-text
+# tables are built after the CLI import and after an array is formatted, and
+# which of fractions and decimal are loaded by then.
+_TEXT_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import eigenmin.cli
+from eigenmin import _text
+built = [_text._tables.cache_info().currsize]
+_text.float_text([k / 7 for k in range(1, 1000)])
+built.append(_text._tables.cache_info().currsize)
+print(json.dumps([built, sorted({"fractions", "decimal"} & set(sys.modules))]))
+"""
+
+
+def test_float_text_tables_are_built_at_first_use():
+    done = subprocess.run([sys.executable, "-c", _TEXT_CHILD, _SRC],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == [[0, 1], []]
 
 
 # argv[1]: the package's parent directory; argv[2]: "1" to import numpy
