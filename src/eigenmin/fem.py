@@ -208,7 +208,10 @@ def coordinate_gradient_identity(mesh: TriMesh) -> np.ndarray:
     2.  For piecewise-linear interpolation the identity is exact face by
     face: the gradient of each coordinate is the projection of a standard
     basis vector onto the face plane, and the squared norms sum to the
-    trace of that projection.
+    trace of that projection.  That holds on every nondegenerate flat
+    triangle in R^4, on a sphere or not, so the value says nothing about
+    the mesh and no verify check reads it.  It is kept because the
+    benchmark's tracer wraps it.
     """
     corners, areas = face_geometry(mesh.vertices, mesh.faces)
     _check_areas(areas)

@@ -60,8 +60,12 @@ class SweepRecord:
 
 
 def _decay(beta: float, d: np.ndarray) -> np.ndarray:
-    """phi_beta = exp(-beta d^2) / beta."""
-    with np.errstate(under="ignore"):
+    """phi_beta = exp(-beta d^2) / beta.
+
+    At a huge finite beta, beta d^2 overflows to inf, and exp(-inf) = 0 is
+    the right value.
+    """
+    with np.errstate(over="ignore", under="ignore"):
         return np.exp(-beta * d * d) / beta
 
 

@@ -3,10 +3,10 @@
 run_all produces a VerificationReport whose checks cover the eigenvalue
 claims (lambda_1 = n with the right multiplicity), the Takahashi identity,
 coordinate orthogonality, the beta-sweep Rayleigh limit, Willmore and
-volume values, the pointwise and integrated gradient identities, the Morse
-index and the two-eigenvalue average bound, plus observed convergence
-orders.  Reports serialize deterministically: two runs with the same
-inputs and seed produce byte-identical files.
+volume values, the integrated gradient identity, the Morse index and the
+two-eigenvalue average bound, plus observed convergence orders.  Reports
+serialize deterministically: two runs with the same inputs and seed
+produce byte-identical files.
 
 Nearly all of the time goes to sparse factorizations that do not depend
 on each other: one eigensolve per level and two inertia counts on the
@@ -41,7 +41,6 @@ from .eigen import (
 from .fem import (
     FemOperators,
     assemble,
-    coordinate_gradient_identity,
     takahashi_residual,
     willmore_energy,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "report_csv",
 ]
 
-REPORT_VERSION = "EIGENMIN-REPORT 1"
+REPORT_VERSION = "EIGENMIN-REPORT 2"
 
 DEFAULT_RESOLUTIONS = {"clifford": [16, 32, 64], "sphere": [2, 3, 4]}
 DEFAULT_BETAS = [float(2 ** j) for j in range(11)]
@@ -85,12 +84,8 @@ CLAIMS = {
     "C5-limit": "the Rayleigh quotient of u_beta tends to n as beta grows",
     "C5-sup-bound": "the truncation error obeys |u_beta - x_i| <= max|x_i|/beta",
     "C6-willmore": "the Willmore energy equals 2 pi^2 on the Clifford torus and 4 pi on the sphere",
-    "C7-identity": "the tangential coordinate gradients satisfy sum_i |grad x_i|^2 = n pointwise",
-    "C7-order": "the pointwise gradient identity deviation shrinks at second order",
     "C8-bound": "the surface volume is at least 4 pi^(n/2) / Gamma(n/2 + 1), with equality exactly for the equatorial sphere",
-    "C8-odd-n": "for odd n the closed-form volume bound exceeds the sphere volume (informational)",
     "C9-index": "the Morse index is 5 for the Clifford torus and 1 for the equatorial sphere",
-    "C9-combination": "the combination lambda_1 + |A|^2 + n is reported alongside the index convention",
     "C10-eigensum": "the average of the first two nonzero eigenvalues is at least 4 pi^2 / area, with equality for the Clifford torus",
     "C11-identity": "integration by parts gives integral |grad x_i|^2 = n integral x_i^2",
     "C11-order": "the integrated identity gap shrinks at second order",
@@ -427,38 +422,10 @@ def _willmore_checks(run: _Run) -> list:
     )]
 
 
-def _pointwise_checks(run: _Run) -> list:
-    n = run.n
-    devs = [
-        float(np.max(np.abs(coordinate_gradient_identity(lv.mesh) - n)) / n)
-        for lv in run.levels
-    ]
-    order = observed_order(devs, run.widths)
-    return [make_check(
-        "C7-identity",
-        "worst per-face relative deviation of sum_i |grad x_i|^2 from n",
-        devs[-1], 0.0, 0.02 * run.tol, mode="absolute",
-    ), make_check(
-        "C7-order",
-        "observed order of the per-face deviation"
-        + ("; deviation is at machine precision on every mesh, reported"
-           " as exact" if math.isinf(order) else " (second order expected)"),
-        order, 2.0, 0.15 * run.tol, mode="lower_bound",
-    )]
-
-
 def _volume_checks(run: _Run) -> list:
-    """The volume bound and its odd-n spot check, the area and Euler."""
+    """The volume bound, the area and Euler."""
     area = run.fine.stats.total_area
-    vol_s1 = canonical.exact_area(canonical.equatorial_sphere(1))
-    bound_1 = canonical.volume_lower_bound(1)
     return [volume_bound_check(run.surface, area, 0.01 * run.tol), make_check(
-        "C8-odd-n",
-        "odd-n spot check: Vol(S^1) = %.6g vs closed-form bound %.6g;"
-        " the bound exceeds the volume, recorded as informational"
-        % (vol_s1, bound_1),
-        vol_s1, bound_1, 0.0, mode="info",
-    ), make_check(
         "area",
         "total mesh area at the finest resolution against the closed form",
         area, canonical.exact_area(run.surface), 0.01 * run.tol,
@@ -479,9 +446,7 @@ def _index_checks(run: _Run) -> list:
     and 5% of the gap down to the next exact level, cannot be classified
     and fails the check.
     """
-    n = run.n
-    a_sq = canonical.second_fundamental_norm_sq(run.surface)
-    potential = n + a_sq
+    potential = run.n + canonical.second_fundamental_norm_sq(run.surface)
     # The index counts the exact eigenvalues below the potential.
     target = float(sum(mult for lam, mult in canonical.exact_spectrum(run.surface, 6)
                        if lam < potential))
@@ -502,13 +467,7 @@ def _index_checks(run: _Run) -> list:
             % potential,
             float(idx), target, 0.0, mode="absolute",
         )
-    lam1 = float(run.fine.spectrum.eigenvalues[0])
-    return [index, make_check(
-        "C9-combination",
-        "alternative stability combination lambda_1 + |A|^2 + n"
-        " (exact value 2n + |A|^2), reported alongside the index",
-        lam1 + a_sq + n, 2.0 * n + a_sq, 0.0, mode="info",
-    )]
+    return [index]
 
 
 def _eigensum_checks(run: _Run) -> list:
@@ -546,7 +505,6 @@ _CHECK_GROUPS = {
     "mean-zero": _mean_zero_checks,
     "sweep": _sweep_checks,
     "willmore": _willmore_checks,
-    "gradient": _pointwise_checks,
     "volume": _volume_checks,
     "index": _index_checks,
     "eigensum": _eigensum_checks,

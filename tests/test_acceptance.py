@@ -122,15 +122,15 @@ def test_C6_willmore_energy(torus_report, sphere_report):
           % (t.measured, 2.0 * math.pi**2, s.measured, 4.0 * math.pi))
 
 
-def test_C7_pointwise_identity(torus_report, sphere_report):
+def test_C7_pointwise_identity(torus64, sphere4):
+    # Not a report row: the identity holds on any flat triangle, so it is
+    # checked here on the two default fine meshes.
     ok = True
     vals = []
-    for label, (report, _) in (("torus", torus_report), ("sphere", sphere_report)):
-        checks = _by_id(report)
-        ident = checks["C7-identity"]
-        order = checks["C7-order"]
-        ok = ok and ident.passed and ident.measured <= 0.02 * 2.0 and order.passed
-        vals.append("%s max-dev=%.2e" % (label, ident.measured))
+    for label, m in (("torus", torus64), ("sphere", sphere4)):
+        dev = float(np.max(np.abs(fem.coordinate_gradient_identity(m) - 2.0)))
+        ok = ok and dev <= 1e-12
+        vals.append("%s max-dev=%.2e" % (label, dev))
     _line("C7", ok, ", ".join(vals) + " (identity holds exactly for P1)")
 
 
@@ -139,15 +139,12 @@ def test_C8_volume_bound(torus_report, sphere_report):
     s = _by_id(sphere_report[0])
     bound = t["C8-bound"]
     sbound = s["C8-bound"]
-    odd = t["C8-odd-n"]
     ok = (
         bound.passed
         and "strict" in bound.description
         and sbound.passed
         and "attained" in sbound.description
         and abs(sbound.measured - sbound.expected) <= 0.01 * sbound.expected
-        and odd.passed
-        and odd.mode == "info"
     )
     _line("C8", ok, "torus strict (%.4f > %.4f), sphere attained (%.4f ~ %.4f)"
           % (bound.measured, bound.expected, sbound.measured, sbound.expected))

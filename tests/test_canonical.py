@@ -75,6 +75,8 @@ def test_exact_area_and_second_fundamental():
 def test_volume_lower_bound():
     assert volume_lower_bound(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert volume_lower_bound(1) == pytest.approx(8.0, rel=1e-14)
+    # For odd n the closed form exceeds the sphere's volume: 8 > Vol(S^1) = 2 pi.
+    assert volume_lower_bound(1) > exact_area(equatorial_sphere(1))
     # Vol(S^3) = 2 pi^2.
     assert volume_lower_bound(3) < 2.0 * math.pi**2
     with pytest.raises(ValueError):

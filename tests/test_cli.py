@@ -159,6 +159,25 @@ def test_sweep_profiles(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 64
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_huge_finite_beta_decays_to_zero(tmp_path):
+    # At beta = 1e308, beta d^2 overflows to inf where d > 1.34, and
+    # exp(-inf) = 0 is phi there.
+    out = tmp_path / "s.csv"
+    prof = tmp_path / "p.csv"
+    rc = main(["sweep", "--surface", "clifford", "--resolution", "8",
+               "--betas", "1,1e308", "--out", str(out), "--profiles", str(prof)])
+    assert rc == EXIT_OK
+    huge = out.read_text().splitlines()[2].split(",")
+    assert huge[0] == "1e+308"
+    assert huge[4] == "0.0"
+    rows = [line.split(",") for line in prof.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 64
+    # phi is 1/beta at the base point (a vertex, d = 0) and 0 elsewhere.
+    phis = {(row[1] == "0.0", row[2]) for row in rows if row[0] == "1e+308"}
+    assert phis == {(True, "1e-308"), (False, "0.0")}
+
+
 def test_verify_sphere_passes(tmp_path, capsys):
     report_path = tmp_path / "report.txt"
     csv_path = tmp_path / "report.csv"
@@ -168,10 +187,10 @@ def test_verify_sphere_passes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "overall: pass" in captured.out
     assert "FAIL" not in captured.out
-    assert captured.out.count("ok  ") >= 20
     assert "time " in captured.err
     assert "time levels " in captured.err
     report = verify.run_all(canonical.equatorial_sphere(2), resolutions=[2, 3, 4])
+    assert captured.out.count("ok  ") == len(report.checks) == 17
     assert report_path.read_bytes() == verify.render_report(report).encode("ascii")
     assert csv_path.read_bytes() == verify.report_csv(report).encode("ascii")
 

@@ -251,6 +251,17 @@ def test_coordinate_gradient_identity_exactly_two(torus64, sphere4):
         assert np.max(np.abs(vals - 2.0)) < 1e-12
 
 
+def test_coordinate_gradient_identity_holds_off_the_sphere(torus32):
+    # The identity is the trace of the projection onto each face plane, so
+    # it holds on any flat triangle in R^4: 30% noise on every coordinate,
+    # with no projection back onto the sphere, leaves it at rounding.
+    rng = np.random.default_rng(30)
+    noisy = torus32.vertices * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, torus32.vertices.shape))
+    assert np.max(np.abs(np.linalg.norm(noisy, axis=1) - 1.0)) > 0.2
+    vals = coordinate_gradient_identity(TriMesh(noisy, torus32.faces))
+    assert np.max(np.abs(vals - 2.0)) < 1e-12
+
+
 def test_coordinate_gradient_identity_bit_equals_coordinate_sum(torus32, sphere2):
     for m in (torus32, sphere2):
         total = np.zeros(m.face_count)

@@ -207,13 +207,26 @@ def test_reports_cover_every_claim(torus_report, sphere_report):
 def test_report_check_order(torus_report, sphere_report):
     # The check order is part of the byte-stable report format.
     shared = ["C3-residual", "C3-trend", "C4-mean-zero", "C5-limit",
-              "C5-sup-bound", "C6-willmore", "C7-identity", "C7-order",
-              "C8-bound", "C8-odd-n", "area", "euler", "C9-index",
-              "C9-combination", "C10-eigensum", "C11-identity", "C11-order"]
+              "C5-sup-bound", "C6-willmore", "C8-bound", "area", "euler",
+              "C9-index", "C10-eigensum", "C11-identity", "C11-order"]
     assert [c.id for c in torus_report[0].checks] == [
         "C1-lambda1", "C1-cluster", "C1-order", *shared]
     assert [c.id for c in sphere_report[0].checks] == [
         "C2-lambda1", "C2-cluster", "C2-level2", "C2-order", *shared]
+
+
+def test_every_row_can_fail(torus_report, sphere_report):
+    # A row that reads inf, or is recorded as info, passes on any input and
+    # is no evidence.  The one info row is the sphere's C10-eigensum: the
+    # bound is stated for genus >= 1, and the row says so.
+    for report, _ in (torus_report, sphere_report):
+        for c in report.checks:
+            assert math.isfinite(c.measured), c.id
+    info = [(report[0].surface, c.id) for report in (torus_report, sphere_report)
+            for c in report[0].checks if c.mode == "info"]
+    assert info == [("sphere", "C10-eigensum")]
+    eigensum = next(c for c in sphere_report[0].checks if c.id == "C10-eigensum")
+    assert "scoped to genus >= 1" in eigensum.description
 
 
 def test_wall_times_cover_checks(torus_report):
