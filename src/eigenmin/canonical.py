@@ -213,10 +213,10 @@ def second_fundamental_norm_sq(surface: CanonicalSurface) -> float:
 def volume_lower_bound(n: int) -> float:
     """The lower bound 4 pi^{n/2} / Gamma(n/2 + 1) for minimal Sigma^n in S^{n+1}.
 
-    For even n this equals Vol(S^n) with equality exactly on equatorial
-    spheres.  For odd n the expression disagrees with Vol(S^n) (n = 1 gives 8
-    versus 2 pi); callers should treat odd n as informational.  See
-    ``eigenmin.verify.volume_bound_check``.
+    For n = 2 this equals Vol(S^2) = 4 pi, with equality exactly on the
+    equatorial sphere, and n = 2 is the only dimension ``eigenmin.verify``
+    checks.  At n = 1 the expression is 8, above the length 2 pi of a great
+    circle, so it is no lower bound there.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

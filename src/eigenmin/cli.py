@@ -163,9 +163,9 @@ def cmd_mesh(args):
 def cmd_spectrum(args):
     _check_tol(args.tol)
     _check_seed(args.seed)
-    mesh = _load_mesh(args)
     if args.k < 1:
         raise UsageError("--k must be at least 1")
+    mesh = _load_mesh(args)
     ops = assemble(mesh)
     spectrum = solve_lowest(ops, args.k, tol=args.tol,
                             deflate_constants=args.deflate, seed=args.seed)

@@ -12,6 +12,7 @@ All quadratic-form helpers take a plain value array of length
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +38,23 @@ _ZERO_NORM_TOL = 1e-14
 
 @dataclass(frozen=True)
 class FemOperators:
-    """Assembled stiffness/mass pair for one mesh."""
+    """Assembled stiffness/mass pair for one mesh.
+
+    The dimension and the lumped mass are read from the two matrices, so a
+    pencil built or replaced by hand cannot carry ones that disagree.
+    """
 
     stiffness: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
-    mass_lumped: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.stiffness.shape[0]
+
+    @cached_property
+    def mass_lumped(self) -> np.ndarray:
+        """Row sums of the consistent mass matrix."""
+        return np.asarray(self.mass.sum(axis=1)).ravel()
 
 
 def _values(u, dim=None):
@@ -124,9 +136,7 @@ def assemble(mesh: TriMesh) -> FemOperators:
                                     minlength=nv)
     stiffness = csr_matrix((s_data, indices, indptr), shape=(nv, nv))
     mass = csr_matrix((m_data, indices, indptr), shape=(nv, nv))
-
-    lumped = np.asarray(mass.sum(axis=1)).ravel()
-    return FemOperators(stiffness=stiffness, mass=mass, mass_lumped=lumped, dim=nv)
+    return FemOperators(stiffness=stiffness, mass=mass)
 
 
 def coordinate_function(mesh: TriMesh, index: int) -> np.ndarray:

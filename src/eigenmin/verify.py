@@ -9,12 +9,12 @@ serialize deterministically: two runs with the same inputs and seed
 produce byte-identical files.
 
 Nearly all of the time goes to sparse factorizations that do not depend
-on each other: one eigensolve per level and two inertia counts on the
-finest.  run_all meshes and assembles every level, then, where the CPUs
-hold two BLAS pools (any two CPUs at the package's one-thread default),
-solves the finest level while one forked child counts the inertias and
-solves the coarser levels (``_solve``).  Either way every check reads the
-same bits.
+on each other: one eigensolve on each of the two finest levels, the only
+spectra a check reads, and two inertia counts on the finest.  run_all
+meshes and assembles every level, then, where the CPUs hold two BLAS pools
+(any two CPUs at the package's one-thread default), solves the finest
+level while one forked child counts the inertias and solves the next
+coarser level (``_solve``).  Either way every check reads the same bits.
 """
 
 from __future__ import annotations
@@ -201,22 +201,21 @@ def volume_bound_check(surface: CanonicalSurface, area: float,
 
 @dataclass(frozen=True)
 class _Level:
-    """One resolution: its mesh, operators, stats, lowest deflated spectrum
-    and the coordinate functions that are not identically zero."""
+    """One resolution: its mesh, operators, stats and the coordinate
+    functions that are not identically zero."""
 
     mesh: TriMesh
     ops: FemOperators
     stats: MeshStats
-    spectrum: Spectrum
     coords: tuple
 
 
-def _level(mesh, ops, spectrum) -> _Level:
+def _level(mesh, ops) -> _Level:
     coords = tuple(
         mesh.vertices[:, i] for i in range(4)
         if float(np.abs(mesh.vertices[:, i]).max()) > 1e-12
     )
-    return _Level(mesh, ops, mesh_stats(mesh), spectrum, coords)
+    return _Level(mesh, ops, mesh_stats(mesh), coords)
 
 
 def _index_shifts(surface: CanonicalSurface, solver_tol: float) -> tuple:
@@ -280,11 +279,13 @@ def _solve(opss, shifts, solver_tol, seed):
 @dataclass(frozen=True)
 class _Run:
     """What every check group reads: the surface, its levels from coarse
-    to fine, the sweep betas, the tolerance scale, the solver tolerance and
-    the finest level's eigenvalue counts below the two index shifts."""
+    to fine, the lowest deflated spectra of the two finest levels, the
+    sweep betas, the tolerance scale, the solver tolerance and the finest
+    level's eigenvalue counts below the two index shifts."""
 
     surface: CanonicalSurface
     levels: tuple
+    spectra: list
     betas: list
     tol: float
     solver_tol: float
@@ -329,7 +330,7 @@ def _eigen_checks(run: _Run) -> list:
     """lambda_1 = n, its cluster size, the sphere's level 6 and the order."""
     n, tol = run.n, run.tol
     prefix = "C1" if run.torus else "C2"
-    eigenvalues = run.fine.spectrum.eigenvalues
+    eigenvalues = run.spectra[-1].eigenvalues
     exact = canonical.exact_spectrum(run.surface, 3)
     checks = [make_check(
         "%s-lambda1" % prefix,
@@ -350,12 +351,12 @@ def _eigen_checks(run: _Run) -> list:
             float(np.max(np.abs(eigenvalues[3:6] / level2 - 1.0))), 0.0,
             0.01 * tol, mode="absolute",
         ))
-    errs = [abs(float(lv.spectrum.eigenvalues[0]) - n) for lv in run.levels]
+    errs = [abs(float(sp.eigenvalues[0]) - n) for sp in run.spectra]
     checks.append(make_check(
         "%s-order" % prefix,
         "observed convergence order of the lambda_1 error (second order expected;"
         " faster also passes)",
-        observed_order(errs, run.widths), 2.0, 0.15 * tol, mode="lower_bound",
+        observed_order(errs, run.widths[-2:]), 2.0, 0.15 * tol, mode="lower_bound",
     ))
     return checks
 
@@ -471,7 +472,7 @@ def _index_checks(run: _Run) -> list:
 
 
 def _eigensum_checks(run: _Run) -> list:
-    return [conjecture_check(run.surface, run.fine.spectrum,
+    return [conjecture_check(run.surface, run.spectra[-1],
                              run.fine.stats.total_area, 0.01 * run.tol)]
 
 
@@ -526,8 +527,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     MeshError before any level is solved.  Individual check failures are recorded; infrastructure failures
     (assembly errors, solver non-convergence) propagate, also those raised
     in the forked child.  ``wall_times`` holds the time spent building the
-    levels (their spectra and the index counts included), then the time of
-    each check group.
+    levels (the two finest spectra and the index counts included), then the
+    time of each check group.
     """
     if resolutions is None:
         resolutions = DEFAULT_RESOLUTIONS[surface.kind]
@@ -546,11 +547,13 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     start = clock()
     meshes = [generate(surface, r) for r in resolutions]
     opss = [assemble(m) for m in meshes]
-    spectra, index_counts = _solve(opss, _index_shifts(surface, solver_tol),
+    # The order checks read the two finest levels only, so no coarser level
+    # is solved.
+    spectra, index_counts = _solve(opss[-2:], _index_shifts(surface, solver_tol),
                                    solver_tol, seed)
-    levels = tuple(map(_level, meshes, opss, spectra))
+    levels = tuple(map(_level, meshes, opss))
     wall = {"levels": clock() - start}
-    run = _Run(surface, levels, betas, tol, solver_tol, index_counts)
+    run = _Run(surface, levels, spectra, betas, tol, solver_tol, index_counts)
     checks = []
     for name, group in _CHECK_GROUPS.items():
         start = clock()

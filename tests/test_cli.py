@@ -98,9 +98,20 @@ def test_spectrum_mesh_and_surface_conflict(capsys):
     assert rc == EXIT_USAGE
 
 
-def test_spectrum_k_validation(capsys):
-    rc = main(["spectrum", "--surface", "clifford", "--resolution", "8", "--k", "0"])
+@pytest.mark.parametrize("flag, message", [
+    pytest.param("--k=0", "--k must be at least 1", id="k=0"),
+    pytest.param("--tol=nan", "tol must lie in [1e-12, 1e-4]", id="tol=nan"),
+    pytest.param("--seed=-1", "seed must be a non-negative integer", id="seed=-1"),
+])
+def test_spectrum_k_validation(monkeypatch, capsys, flag, message):
+    # The finest torus takes a while to mesh; a bad flag is reported first.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mesh was built before %s was checked" % flag)
+
+    monkeypatch.setattr(cli, "generate", unreachable)
+    rc = main(["spectrum", "--surface", "clifford", "--resolution", "256", flag])
     assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_rayleigh_coordinate(capsys):

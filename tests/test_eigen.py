@@ -17,9 +17,7 @@ from eigenmin.eigen import NonConvergence, SolverError, morse_index, solve_lowes
 def _ops(S, M):
     """The pencil (S, M) as the FemOperators that the solvers take."""
     S, M = sp.csr_matrix(S, dtype=float), sp.csr_matrix(M, dtype=float)
-    return fem.FemOperators(stiffness=S, mass=M,
-                            mass_lumped=np.asarray(M.sum(axis=1)).ravel(),
-                            dim=S.shape[0])
+    return fem.FemOperators(stiffness=S, mass=M)
 
 
 def _diag_pencil():

@@ -1,5 +1,6 @@
 """Tests for P1 operator assembly and the derived geometric functionals."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 
 from eigenmin import fem, mesh
 from eigenmin.fem import (
+    FemOperators,
     assemble,
     coordinate_function,
     coordinate_gradient_identity,
@@ -173,6 +175,19 @@ def test_mass_totals_equal_area(ops64, torus64, ops_s4, sphere4):
         assert np.all(ops.mass_lumped > 0.0)
         rows = np.asarray(ops.mass.sum(axis=1)).ravel()
         assert rows == pytest.approx(ops.mass_lumped, rel=1e-12)
+
+
+def test_lumped_mass_follows_the_mass_matrix(torus64, ops64):
+    # A pencil is its two matrices: one replaced by hand carries the lumped
+    # mass and the dimension of its own M, and so does its Willmore energy.
+    assert [f.name for f in dataclasses.fields(FemOperators)] == ["stiffness", "mass"]
+    doubled = dataclasses.replace(ops64, mass=2.0 * ops64.mass)
+    assert doubled.dim == ops64.dim
+    np.testing.assert_array_equal(doubled.mass_lumped, 2.0 * ops64.mass_lumped)
+    # S x = 2 m_L x on the torus grid, so halving m_L^{-1} S x leaves a
+    # radial w and W is the doubled lumped area.
+    assert willmore_energy(torus64, doubled) == pytest.approx(
+        2.0 * willmore_energy(torus64, ops64), rel=1e-14)
 
 
 def test_mass_positive_definite_small(ops16):

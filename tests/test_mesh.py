@@ -260,6 +260,14 @@ def test_read_mesh_error_paths(tmp_path):
     with pytest.raises((MeshError, OSError)):
         read_mesh(tmp_path / "missing.smesh")
 
+    comments_only = tmp_path / "e.smesh"
+    comments_only.write_text("# no content\n\n")
+    assert _read_error(comments_only) == f"{comments_only}: empty mesh file"
+
+    header_only = tmp_path / "f.smesh"
+    header_only.write_text(lines[0] + "\n")
+    assert _read_error(header_only) == f"{header_only}: missing count line"
+
 
 # ---------------------------------------------------------------------------
 # Loop references for the vectorized mesh bookkeeping.  These are the
@@ -518,6 +526,8 @@ def test_read_mesh_comments_and_blanks_keep_line_numbers(tmp_path):
     (20, "0 1.0 2", "unparsable face index"),
     (20, "0 1 12", "face index out of range"),
     (7, "0.5 0.5 0.5", "vertex line must have 4 coordinates"),
+    (1, "x 20", "count line must be two integers"),
+    (1, "2 1", "vertex/face counts too small for a closed mesh"),
 ])
 def test_read_mesh_rejects_bad_line(tmp_path, row, text, reason):
     lines = _ico_lines(tmp_path)

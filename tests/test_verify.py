@@ -236,18 +236,20 @@ def test_wall_times_cover_checks(torus_report):
 
 
 def _inline_level(surface, resolution):
-    """One level built and solved here, outside run_all."""
+    """One level built here, outside run_all."""
     mesh = verify.generate(surface, resolution)
-    ops = verify.assemble(mesh)
-    return verify._level(mesh, ops, eigen.solve_lowest(ops, 6))
+    return verify._level(mesh, verify.assemble(mesh))
 
 
 def _inline_run(surface, levels):
-    """A _Run over prebuilt levels, with the finest level's index counts
-    taken here at the default solver tolerance."""
+    """A _Run over prebuilt levels, with the two finest levels' spectra and
+    the finest level's index counts taken here at the default solver
+    tolerance."""
+    spectra = [eigen.solve_lowest(lv.ops, 6) for lv in levels[-2:]]
     counts = tuple(eigen.morse_index(levels[-1].ops, shift)
                    for shift in verify._index_shifts(surface, 1e-8))
-    return verify._Run(surface, levels, list(DEFAULT_BETAS), 1.0, 1e-8, counts)
+    return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, 1e-8,
+                       counts)
 
 
 def test_check_groups_run_alone_on_prebuilt_levels():
@@ -400,7 +402,8 @@ def _no_child_left():
 
 
 def test_run_all_solves_each_level_once(monkeypatch, tmp_path, fork_cpus):
-    # One spectrum per level serves C1/C2, C9 and C10; the Morse index
+    # The spectra of the two finest levels serve C1/C2 and C10, and no check
+    # reads one of a coarser level, so none is solved; the Morse index
     # counts pivots on the finest operators instead of solving again.  The
     # calls are appended to a file, so those of the forked child count too;
     # the child is a copy of this process, so ids name the same operators.
@@ -421,7 +424,7 @@ def test_run_all_solves_each_level_once(monkeypatch, tmp_path, fork_cpus):
     run_all(TORUS, resolutions=[8, 16, 32])
     calls = [line.split() for line in log.read_text().splitlines()]
     solves = {int(dim): ops for name, dim, ops in calls if name == "solve"}
-    assert sorted(int(dim) for name, dim, _ in calls if name == "solve") == [64, 256, 1024]
+    assert sorted(int(dim) for name, dim, _ in calls if name == "solve") == [256, 1024]
     assert [ops for name, _, ops in calls if name == "index"] == [solves[1024]] * 2
 
 
@@ -483,9 +486,9 @@ def _fail_solve_at(monkeypatch, dim, exc):
 
 
 def test_child_nonconvergence_exits_3_like_inline(fork_cpus, monkeypatch, capsys):
-    # Torus 8 is solved in the child on the split path.
-    partial = eigen.solve_lowest(verify.assemble(verify.generate(TORUS, 8)), 6)
-    _fail_solve_at(monkeypatch, 64, eigen.NonConvergence("stalled at 64", partial))
+    # Torus 16 is solved in the child on the split path.
+    partial = eigen.solve_lowest(verify.assemble(verify.generate(TORUS, 16)), 6)
+    _fail_solve_at(monkeypatch, 256, eigen.NonConvergence("stalled at 256", partial))
     argv = ["verify", "--surface", "clifford", "--resolutions", "8,16,32"]
     errors = []
     for cpus in (2, 1):
@@ -493,12 +496,22 @@ def test_child_nonconvergence_exits_3_like_inline(fork_cpus, monkeypatch, capsys
         assert cli.main(argv) == cli.EXIT_SOLVER
         errors.append(capsys.readouterr().err)
         _no_child_left()
-    assert errors == ["error: solver did not converge: stalled at 64\n"] * 2
+    assert errors == ["error: solver did not converge: stalled at 256\n"] * 2
     fork_cpus(2)
-    with pytest.raises(eigen.NonConvergence, match="^stalled at 64$") as info:
+    with pytest.raises(eigen.NonConvergence, match="^stalled at 256$") as info:
         run_all(TORUS, resolutions=[8, 16, 32])
     np.testing.assert_array_equal(info.value.spectrum.eigenvalues, partial.eigenvalues)
     _no_child_left()
+
+
+def test_coarsest_level_is_never_solved(fork_cpus, monkeypatch, torus_report):
+    # No check reads the coarsest level's spectrum, so a solve that would
+    # not converge there is never reached, split or in one process.
+    _fail_solve_at(monkeypatch, 256, eigen.NonConvergence("stalled at 256"))
+    for cpus in (2, 1):
+        fork_cpus(cpus)
+        assert render_report(run_all(TORUS)) == render_report(torus_report[0])
+        _no_child_left()
 
 
 def test_child_that_dies_is_a_solver_error(fork_cpus, monkeypatch):
