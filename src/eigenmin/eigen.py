@@ -1,8 +1,9 @@
 """Deterministic low-end eigenpairs of the P1 pencil (S, M).
 
-Only the source of the Ritz pairs depends on the dimension.  Up to 600 it
-is one dense generalized solve, which at the default verify levels serves
-torus 16 (dim 256) and sphere 2 (dim 162).  Larger problems factor S + M
+Only the source of the Ritz pairs depends on the dimension.  Up to 600
+(torus resolution 24, sphere subdivision 2) it is one dense generalized
+solve; the levels a default verify solves, torus 32 and 64 and sphere 3
+and 4, are all larger.  Larger problems factor S + M
 once (sparse LU with a symmetric ordering and diagonal pivots) and run
 shift-invert Lanczos (ARPACK) about sigma = -1 from a fixed seeded start
 vector, with two guard pairs beyond the wanted ones.  Everything after

@@ -340,14 +340,19 @@ def _parse_block(rows, linenos, fail, width: int, kind, count_reason: str,
     return block
 
 
-def _read_lines(path):
-    """Vertices and faces of an SMESH file, read one content line at a time.
+def _read_lines(path, data: bytes):
+    """Vertices and faces of the SMESH file ``path`` whose bytes are
+    ``data``, read one content line at a time.
 
-    The reference reader: comment and blank lines are skipped, and every
-    error names the file line of the first offending content line.
+    The reference reader: lines are split where text mode splits them (at
+    '\n', '\r' or '\r\n'), comment and blank lines are skipped, and every
+    error names the file line of the first offending line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = list(map(str.strip, fh.readlines()))
+    raw = data.splitlines()
+    if not data.isascii():
+        lineno = next(k for k, line in enumerate(raw, 1) if not line.isascii())
+        raise MeshError(f"{path}:{lineno}: non-ASCII byte")
+    lines = list(map(str.strip, map(bytes.decode, raw)))
     # Content lines are the nonblank lines not starting with '#'.  map and
     # compress iterate in C, so no bytecode runs per line.
     keep = np.fromiter(map(bool, lines), bool, len(lines))
@@ -433,17 +438,19 @@ def read_mesh(path) -> TriMesh:
     """Parse an SMESH file, validate all mesh invariants, tag the surface.
 
     The file's bytes are read once and, for any ASCII file, their content
-    lines are parsed in two numpy blocks.  Only a file that parse declines
-    (an error, or a token only Python's parsers take) is read again, one
-    line at a time, so that an error names the first bad line.
+    lines are parsed in two numpy blocks.  Only bytes that parse declines
+    (an error, a token only Python's parsers take, or a non-ASCII byte) are
+    parsed again, one line at a time, so that an error names the first bad
+    line.
 
     The surface tag is inferred from the defining equations (torus pair radii
     or the equatorial slice); foreign meshes that satisfy neither stay
     untagged but must still be closed, oriented, and on the unit sphere.
     """
     with open(path, "rb") as fh:
-        blocks = _read_bytes(fh.read())
-    vertices, faces = _read_lines(path) if blocks is None else blocks
+        data = fh.read()
+    vertices, faces = _read_bytes(data) or _read_lines(path, data)
+    del data  # validation does not need the file's bytes
     mesh = TriMesh(vertices, faces, _infer_surface(vertices))
     validate(mesh)
     return mesh

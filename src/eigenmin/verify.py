@@ -22,9 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +70,7 @@ DEFAULT_RESOLUTIONS = {"clifford": [16, 32, 64], "sphere": [2, 3, 4]}
 DEFAULT_BETAS = [float(2 ** j) for j in range(11)]
 
 # Claim text per check id.  Serves as the auditable coverage list: every
-# check in a report carries one of these, and the tests assert the two
+# check in a report reads one of these, and the tests assert the two
 # reports together exercise every entry.
 CLAIMS = {
     "C1-lambda1": "first nonzero Laplace eigenvalue of the Clifford torus equals 2",
@@ -100,21 +102,27 @@ class Check:
 
     mode is one of 'relative' (|m - e| <= tol * max(|e|, 1)), 'absolute'
     (|m - e| <= tol), 'lower_bound' (m >= e - tol * max(|e|, 1)) or 'info'
-    (always passes; recorded for the reader).
+    (always passes; recorded for the reader).  The claim is read from
+    ``CLAIMS`` by id.
     """
 
     id: str
     description: str
-    claim: str
     mode: str
     measured: float
     expected: float
     tolerance: float
     passed: bool
 
+    @property
+    def claim(self) -> str:
+        return CLAIMS[self.id]
+
 
 def make_check(check_id, description, measured, expected, tolerance,
                mode="relative", passed=None) -> Check:
+    if check_id not in CLAIMS:
+        raise KeyError(check_id)
     measured = float(measured)
     expected = float(expected)
     tolerance = float(tolerance)
@@ -129,8 +137,8 @@ def make_check(check_id, description, measured, expected, tolerance,
             passed = True
         else:
             raise ValueError("unknown check mode %r" % mode)
-    return Check(check_id, description, CLAIMS[check_id], mode,
-                 measured, expected, tolerance, bool(passed))
+    return Check(check_id, description, mode, measured, expected, tolerance,
+                 bool(passed))
 
 
 @dataclass
@@ -142,8 +150,11 @@ class VerificationReport:
     solver_tolerance: float
     seed: int
     checks: list
-    overall_pass: bool
     wall_times: dict = field(default_factory=dict)
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def conjecture_check(surface: CanonicalSurface, spectrum: Spectrum,
@@ -201,27 +212,34 @@ def volume_bound_check(surface: CanonicalSurface, area: float,
 
 @dataclass(frozen=True)
 class _Level:
-    """One resolution: its mesh, operators, stats and the coordinate
-    functions that are not identically zero."""
+    """One resolution: its mesh and operators.  Its stats and coordinate
+    columns are read from the mesh at first use, so a replaced mesh brings
+    its own."""
 
     mesh: TriMesh
     ops: FemOperators
-    stats: MeshStats
-    coords: tuple
+
+    @cached_property
+    def stats(self) -> MeshStats:
+        return mesh_stats(self.mesh)
+
+    @cached_property
+    def coords(self) -> tuple:
+        """The coordinate functions that are not identically zero."""
+        vertices = self.mesh.vertices
+        return tuple(vertices[:, i] for i in range(4)
+                     if float(np.abs(vertices[:, i]).max()) > 1e-12)
 
 
-def _level(mesh, ops) -> _Level:
-    coords = tuple(
-        mesh.vertices[:, i] for i in range(4)
-        if float(np.abs(mesh.vertices[:, i]).max()) > 1e-12
-    )
-    return _Level(mesh, ops, mesh_stats(mesh), coords)
+def _potential(surface: CanonicalSurface) -> float:
+    """The stability potential n + |A|^2 of the Jacobi operator."""
+    return surface.intrinsic_dim + canonical.second_fundamental_norm_sq(surface)
 
 
 def _index_shifts(surface: CanonicalSurface, solver_tol: float) -> tuple:
-    """(lo, hi): the shifts below the potential n + |A|^2 at which the
-    Morse index is counted; ``_index_checks`` states the rule."""
-    potential = surface.intrinsic_dim + canonical.second_fundamental_norm_sq(surface)
+    """(lo, hi): the shifts below the potential at which the Morse index is
+    counted; ``_index_checks`` states the rule."""
+    potential = _potential(surface)
     below = max(lam for lam, _ in canonical.exact_spectrum(surface, 6)
                 if lam < potential - 1e-12)
     lo = potential - max(10.0 * solver_tol, 0.05 * (potential - below))
@@ -239,22 +257,22 @@ def _blas_width(cpus: int) -> int:
     return cpus
 
 
-def _solve(opss, shifts, solver_tol, seed):
-    """The lowest six deflated eigenpairs of each pencil in ``opss``
-    (coarse to fine), and the number of eigenvalues of the finest pencil
-    below each of ``shifts``.
+def _solve(middle, fine, shifts, solver_tol, seed):
+    """The lowest six deflated eigenpairs of the pencils ``middle`` and
+    ``fine``, and a pair (c, count) for each shift c in ``shifts``: the
+    number of eigenvalues of ``fine`` below c.
 
     The factorizations behind these do not depend on each other.  When the
-    usable CPUs hold two BLAS pools, this process solves the finest pencil
-    while one forked child (``_fork.child``) counts the inertias and then
-    solves the coarser pencils.  Either way each result is the same call on
-    the same matrices, so its bits are the same.
+    usable CPUs hold two BLAS pools, this process solves ``fine`` while one
+    forked child (``_fork.child``) counts the inertias and then solves
+    ``middle``.  Either way each result is the same call on the same
+    matrices, so its bits are the same.
     """
     def solve(ops):
         return solve_lowest(ops, 6, tol=solver_tol, seed=seed)
 
     def counts():
-        return tuple(morse_index(opss[-1], c) for c in shifts)
+        return tuple((c, morse_index(fine, c)) for c in shifts)
 
     # Idle BLAS threads spin before they sleep, so two pools that together
     # outnumber the CPUs slow both processes down.  On 2 vCPUs at a user-set
@@ -262,33 +280,31 @@ def _solve(opss, shifts, solver_tol, seed):
     # 0.67 s split against 0.39 s in one process; at width 1, 0.21 s.
     cpus = _fork.cpus()
     if cpus < 2 * _blas_width(cpus):
-        return [solve(ops) for ops in opss], counts()
+        return [solve(middle), solve(fine)], counts()
     # The child inherits the modules loaded here.  Loaded in the child, they
     # would die with it, and every verify would import scipy again.
     import scipy.linalg  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
-    with _fork.child(lambda: (counts(), [solve(ops) for ops in opss[:-1]]),
-                     SolverError) as child:
-        fine = solve(opss[-1])
-        index_counts, spectra = child()
-    return spectra + [fine], index_counts
+    with _fork.child(lambda: (counts(), solve(middle)), SolverError) as child:
+        fine_spectrum = solve(fine)
+        index_counts, middle_spectrum = child()
+    return [middle_spectrum, fine_spectrum], index_counts
 
 
 @dataclass(frozen=True)
 class _Run:
     """What every check group reads: the surface, its levels from coarse
     to fine, the lowest deflated spectra of the two finest levels, the
-    sweep betas, the tolerance scale, the solver tolerance and the finest
-    level's eigenvalue counts below the two index shifts."""
+    sweep betas, the tolerance scale and, for each index shift c, the pair
+    (c, count) of the finest level's eigenvalue count below c."""
 
     surface: CanonicalSurface
     levels: tuple
     spectra: list
     betas: list
     tol: float
-    solver_tol: float
     index_counts: tuple
 
     @property
@@ -447,12 +463,11 @@ def _index_checks(run: _Run) -> list:
     and 5% of the gap down to the next exact level, cannot be classified
     and fails the check.
     """
-    potential = run.n + canonical.second_fundamental_norm_sq(run.surface)
+    potential = _potential(run.surface)
     # The index counts the exact eigenvalues below the potential.
     target = float(sum(mult for lam, mult in canonical.exact_spectrum(run.surface, 6)
                        if lam < potential))
-    lo, hi = _index_shifts(run.surface, run.solver_tol)
-    idx, below_hi = run.index_counts
+    (lo, idx), (hi, below_hi) = run.index_counts
     banded = below_hi - idx
     if banded:
         index = make_check(
@@ -527,12 +542,16 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     MeshError before any level is solved.  Individual check failures are recorded; infrastructure failures
     (assembly errors, solver non-convergence) propagate, also those raised
     in the forked child.  ``wall_times`` holds the time spent building the
-    levels (the two finest spectra and the index counts included), then the
-    time of each check group.
+    levels (the two finest spectra and the index counts included, the mesh
+    stats not: they are made in the first check group that reads them),
+    then the time of each check group.
     """
     if resolutions is None:
         resolutions = DEFAULT_RESOLUTIONS[surface.kind]
-    resolutions = [int(r) for r in resolutions]
+    try:
+        resolutions = [operator.index(r) for r in resolutions]
+    except TypeError:
+        raise ValueError("resolutions must be integers") from None
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
     if any(r1 >= r2 for r1, r2 in zip(resolutions, resolutions[1:])):
@@ -549,11 +568,11 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     opss = [assemble(m) for m in meshes]
     # The order checks read the two finest levels only, so no coarser level
     # is solved.
-    spectra, index_counts = _solve(opss[-2:], _index_shifts(surface, solver_tol),
+    spectra, index_counts = _solve(*opss[-2:], _index_shifts(surface, solver_tol),
                                    solver_tol, seed)
-    levels = tuple(map(_level, meshes, opss))
     wall = {"levels": clock() - start}
-    run = _Run(surface, levels, spectra, betas, tol, solver_tol, index_counts)
+    run = _Run(surface, tuple(map(_Level, meshes, opss)), spectra, betas, tol,
+               index_counts)
     checks = []
     for name, group in _CHECK_GROUPS.items():
         start = clock()
@@ -568,7 +587,6 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
         solver_tolerance=solver_tol,
         seed=seed,
         checks=checks,
-        overall_pass=all(c.passed for c in checks),
         wall_times=wall,
     )
 

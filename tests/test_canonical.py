@@ -57,6 +57,17 @@ def test_exact_spectrum_torus():
     ]
 
 
+def test_exact_spectrum_torus_widens_its_lattice():
+    # Thirty levels need m = k^2 + l^2 up to 64, beyond the first radius 4.
+    reps = {}
+    for k in range(-9, 10):
+        for l in range(-9, 10):
+            reps[k * k + l * l] = reps.get(k * k + l * l, 0) + 1
+    brute = [(2.0 * m, reps[m]) for m in sorted(reps)[:30]]
+    assert brute[-1] == (128.0, 4)
+    assert exact_spectrum(TORUS, 30) == brute
+
+
 def test_exact_spectrum_sphere():
     assert exact_spectrum(SPHERE, 3) == [(0.0, 1), (2.0, 3), (6.0, 5)]
     # S^3: levels k(k+2), multiplicity (k+1)^2.
@@ -106,6 +117,8 @@ def test_embed_torus():
     stacked = embed(TORUS, pts)
     assert stacked.shape == (2, 4)
     assert np.linalg.norm(stacked, axis=1) == pytest.approx(np.ones(2), abs=1e-15)
+    with pytest.raises(ValueError, match="^torus points have 2 coordinates, got 3$"):
+        embed(TORUS, [0.0, 0.0, 0.0])
 
 
 def test_embed_sphere_validates():
@@ -115,6 +128,8 @@ def test_embed_sphere_validates():
         embed(SPHERE, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         embed(SPHERE, [0.6, 0.0, 0.0, 0.8])
+    with pytest.raises(ValueError, match="^sphere points have 4 ambient coordinates, got 3$"):
+        embed(SPHERE, [0.6, 0.8, 0.0])
 
 
 def test_torus_distance_known_values():

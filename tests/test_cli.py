@@ -85,6 +85,23 @@ def test_spectrum_deflate_false(capsys):
     assert abs(first) < 1e-8
 
 
+@pytest.mark.parametrize("word", ["true", "yes"])
+def test_spectrum_deflate_true(word, capsys):
+    rc = main(["spectrum", "--surface", "clifford", "--resolution", "8",
+               "--k", "2", "--deflate", word])
+    assert rc == EXIT_OK
+    assert "deflated: true" in capsys.readouterr().out
+
+
+def test_spectrum_deflate_rejects_other_words(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--surface", "clifford", "--resolution", "8",
+              "--deflate", "maybe"])
+    assert info.value.code == EXIT_USAGE
+    assert ("argument --deflate: expected true or false"
+            in capsys.readouterr().err)
+
+
 def test_spectrum_from_mesh_file(tmp_path, capsys):
     path = tmp_path / "m.smesh"
     mesh.write_mesh(mesh.generate_torus(10), path)
@@ -276,11 +293,12 @@ def test_oracle_torus(capsys):
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# spectral defaults\nresolution = 12\nk = 3\n")
-    rc = main(["spectrum", "--surface", "clifford", "--config", str(cfg)])
-    assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert "dim: 144" in out
-    assert "k: 3" in out
+    for config in (["--config", str(cfg)], ["--config=%s" % cfg]):
+        rc = main(["spectrum", "--surface", "clifford", *config])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dim: 144" in out
+        assert "k: 3" in out
 
 
 def test_config_explicit_flag_wins(tmp_path, capsys):

@@ -46,6 +46,8 @@ def test_input_validation(ops64):
     # mode and the guard pairs must stay below it.
     with pytest.raises(ValueError, match="k=4093 needs 4096 Ritz pairs"):
         solve_lowest(ops64, ops64.dim - 3)
+    with pytest.raises(ValueError, match="^stiffness and mass must be square and same shape$"):
+        solve_lowest(_ops(sp.identity(3), sp.identity(4)), 2)
     # Both paths reject a negative seed.
     for ops in (diag, ops64):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

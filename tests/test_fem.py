@@ -354,3 +354,5 @@ def test_nodal_function_validation(torus16):
         fem.rayleigh(assemble(torus16), np.ones(torus16.vertex_count - 1))
     with pytest.raises(ValueError):
         fem.rayleigh(assemble(torus16), np.full(torus16.vertex_count, np.nan))
+    with pytest.raises(ValueError, match="^expected a one-dimensional nodal value array$"):
+        fem.rayleigh(assemble(torus16), np.ones((torus16.vertex_count, 1)))

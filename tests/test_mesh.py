@@ -149,6 +149,19 @@ def test_validate_rejects_off_sphere_vertex(torus16):
         validate(TriMesh(verts, torus16.faces, torus16.surface))
 
 
+@pytest.mark.parametrize("vertices, faces, message", [
+    (lambda m: m.vertices[:, :3], lambda m: m.faces,
+     "vertices must be an array of ambient 4-vectors"),
+    (lambda m: m.vertices.ravel(), lambda m: m.faces,
+     "vertices must be an array of ambient 4-vectors"),
+    (lambda m: m.vertices, lambda m: m.faces[:, :2], "faces must be index triples"),
+    (lambda m: m.vertices, lambda m: m.faces.ravel(), "faces must be index triples"),
+], ids=["3-columns", "flat-vertices", "2-columns", "flat-faces"])
+def test_validate_rejects_misshapen_arrays(torus16, vertices, faces, message):
+    with pytest.raises(MeshError, match="^%s$" % message):
+        validate(TriMesh(vertices(torus16), faces(torus16), torus16.surface))
+
+
 def test_validate_rejects_out_of_range_index(torus16):
     faces = torus16.faces.copy()
     faces[0, 0] = torus16.vertex_count
@@ -528,12 +541,13 @@ def test_read_mesh_comments_and_blanks_keep_line_numbers(tmp_path):
     (7, "0.5 0.5 0.5", "vertex line must have 4 coordinates"),
     (1, "x 20", "count line must be two integers"),
     (1, "2 1", "vertex/face counts too small for a closed mesh"),
+    (7, "{}\xa0", "non-ASCII byte"),
 ])
 def test_read_mesh_rejects_bad_line(tmp_path, row, text, reason):
     lines = _ico_lines(tmp_path)
     lines[row] = text.format(lines[row])
     path = tmp_path / "bad.smesh"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     assert _read_error(path) == f"{path}:{row + 1}: {reason}"
 
 
@@ -590,7 +604,7 @@ def test_read_mesh_names_a_huge_vertex_norm_without_overflow(tmp_path):
 def _outcome_of_read(path):
     try:
         m = read_mesh(path)
-    except (MeshError, UnicodeDecodeError) as exc:
+    except MeshError as exc:
         return str(exc)
     return m.vertices.tobytes(), m.faces.tobytes(), m.surface
 

@@ -33,6 +33,10 @@ def test_build_truncation_validation(torus16):
     for coord in (0, 5):
         with pytest.raises(ValueError, match=r"coordinate index must be in 1\.\.4"):
             build_truncation(torus16, coord, P0, 1.0)
+    untagged = dataclasses.replace(torus16, surface=None)
+    with pytest.raises(ValueError, match="^truncation functions need a mesh of a"
+                                         " canonical surface$"):
+        build_truncation(untagged, 1, P0, 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -53,6 +53,12 @@ def test_make_check_rejects_unknown_mode_and_id():
         make_check("C99-nope", "d", 1.0, 1.0, 0.1)
 
 
+def test_replaced_check_reads_its_ids_claim():
+    check = make_check("C1-lambda1", "d", 2.0, 2.0, 0.1)
+    assert check.claim == CLAIMS["C1-lambda1"]
+    assert dataclasses.replace(check, id="C2-lambda1").claim == CLAIMS["C2-lambda1"]
+
+
 def test_conjecture_check_torus(torus_spectrum):
     area = 19.7233595506816
     chk = conjecture_check(TORUS, torus_spectrum, area)
@@ -73,6 +79,8 @@ def test_conjecture_check_preconditions(ops16):
     undeflated = eigen.solve_lowest(ops16, 3, deflate_constants=False)
     with pytest.raises(ValueError):
         conjecture_check(TORUS, undeflated, 19.7)
+    with pytest.raises(ValueError, match="^need at least two nonzero eigenvalues$"):
+        conjecture_check(TORUS, eigen.solve_lowest(ops16, 1), 19.7)
 
 
 def test_volume_bound_check_patterns():
@@ -101,6 +109,8 @@ def test_observed_order():
     assert observed_order([1e-15, 1e-16], [0.2, 0.1]) == float("inf")
     with pytest.raises(ValueError):
         observed_order([1.0], [0.1])
+    with pytest.raises(ValueError, match="^errors and widths must have matching lengths$"):
+        observed_order([1.0, 0.5, 0.25], [0.2, 0.1])
 
 
 # The paper's closed-form values, written out here so that what verify
@@ -157,6 +167,17 @@ def test_run_all_rejects_levels_out_of_order(surface, resolutions, monkeypatch):
     monkeypatch.setattr(verify, "generate", no_level)
     with pytest.raises(ValueError, match="^resolutions must be strictly ascending$"):
         run_all(surface, resolutions=resolutions)
+
+
+@pytest.mark.parametrize("resolutions", [[8, 12.7], [8.0, 12], ["8", "12"]])
+def test_run_all_rejects_levels_that_are_not_integers(resolutions, monkeypatch):
+    # int() would truncate 12.7 to 12 and report "resolutions: 8 12".
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(verify, "generate", no_level)
+    with pytest.raises(ValueError, match="^resolutions must be integers$"):
+        run_all(TORUS, resolutions=resolutions)
 
 
 @pytest.mark.parametrize("surface, resolutions, message", [
@@ -235,10 +256,17 @@ def test_wall_times_cover_checks(torus_report):
     assert all(t >= 0.0 for t in report.wall_times.values())
 
 
+def test_replaced_report_reads_its_checks_verdict(torus_report):
+    report, _ = torus_report
+    assert report.overall_pass
+    checks = [*report.checks[:-1], dataclasses.replace(report.checks[-1], passed=False)]
+    assert not dataclasses.replace(report, checks=checks).overall_pass
+
+
 def _inline_level(surface, resolution):
     """One level built here, outside run_all."""
     mesh = verify.generate(surface, resolution)
-    return verify._level(mesh, verify.assemble(mesh))
+    return verify._Level(mesh, verify.assemble(mesh))
 
 
 def _inline_run(surface, levels):
@@ -246,10 +274,9 @@ def _inline_run(surface, levels):
     the finest level's index counts taken here at the default solver
     tolerance."""
     spectra = [eigen.solve_lowest(lv.ops, 6) for lv in levels[-2:]]
-    counts = tuple(eigen.morse_index(levels[-1].ops, shift)
+    counts = tuple((shift, eigen.morse_index(levels[-1].ops, shift))
                    for shift in verify._index_shifts(surface, 1e-8))
-    return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, 1e-8,
-                       counts)
+    return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, counts)
 
 
 def test_check_groups_run_alone_on_prebuilt_levels():
@@ -267,6 +294,19 @@ def test_check_groups_run_alone_on_prebuilt_levels():
 @pytest.fixture(scope="module")
 def torus16_level():
     return _inline_level(TORUS, 16)
+
+
+def test_replaced_level_reads_its_meshs_stats_and_coordinates(torus16_level):
+    level = torus16_level
+    assert level.stats == verify.mesh_stats(level.mesh)
+    assert len(level.coords) == 4
+    sphere = verify.generate(SPHERE, 2)
+    replaced = dataclasses.replace(level, mesh=sphere, ops=verify.assemble(sphere))
+    assert replaced.stats == verify.mesh_stats(sphere)
+    # x_4 vanishes on the sphere, so its column is left out.
+    assert len(replaced.coords) == 3
+    for i, column in enumerate(replaced.coords):
+        np.testing.assert_array_equal(column, sphere.vertices[:, i])
 
 
 # Torus 16's level-4 cluster starts at 4.104136; the stiffness is scaled to
@@ -444,13 +484,14 @@ def test_split_and_inline_reports_are_byte_equal(surface, fork_cpus, forks):
 def test_split_and_inline_solves_are_bit_identical(fork_cpus):
     # Shifts on either side of the torus's lambda_1 = 2 cluster tell the
     # two counts apart: the constants below 1, four more below 3.
-    opss = [verify.assemble(verify.generate(TORUS, r)) for r in (8, 16, 32)]
+    middle, fine = (verify.assemble(verify.generate(TORUS, r)) for r in (16, 32))
     results = []
     for cpus in (2, 1):
         fork_cpus(cpus)
-        results.append(verify._solve(opss, (1.0, 3.0), 1e-8, 0))
+        results.append(verify._solve(middle, fine, (1.0, 3.0), 1e-8, 0))
     (split, split_counts), (inline, inline_counts) = results
-    assert split_counts == inline_counts == (1, 5)
+    assert split_counts == inline_counts == ((1.0, 1), (3.0, 5))
+    assert len(split) == len(inline) == 2
     for a, b in zip(split, inline):
         for field in ("eigenvalues", "eigenvectors", "residuals"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
