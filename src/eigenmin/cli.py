@@ -356,13 +356,16 @@ def build_parser():
 
 def _read_config(path):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.readlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise UsageError("--config: %s" % exc)
     pairs = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
+    # bytes.splitlines ends lines where text mode does: at \n, \r and \r\n.
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if not line.isascii():
+            raise UsageError("--config: line %d is not ASCII" % lineno)
+        text = line.decode("ascii").strip()
         if not text or text.startswith("#"):
             continue
         for sep in ("=", ":"):

@@ -238,11 +238,9 @@ def generate(surface: CanonicalSurface, resolution: int) -> TriMesh:
     level for the sphere."""
     if surface.kind == "clifford":
         return generate_torus(resolution)
-    if surface.kind == "sphere":
-        if surface.intrinsic_dim != 2:
-            raise MeshError("only the 2-sphere can be meshed")
-        return generate_sphere(resolution)
-    raise MeshError("unknown surface kind %r" % surface.kind)
+    if surface.intrinsic_dim != 2:
+        raise MeshError("only the 2-sphere can be meshed")
+    return generate_sphere(resolution)
 
 
 def face_geometry(vertices: np.ndarray, faces: np.ndarray):

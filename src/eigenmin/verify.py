@@ -10,10 +10,10 @@ produce byte-identical files.
 
 Nearly all of the time goes to sparse factorizations that do not depend
 on each other: one eigensolve on each of the two finest levels, the only
-spectra a check reads, and two inertia counts on the finest.  run_all
+spectra a check reads, and one inertia count on the finest.  run_all
 meshes and assembles every level, then, where the CPUs hold two BLAS pools
 (any two CPUs at the package's one-thread default), solves the finest
-level while one forked child counts the inertias and solves the next
+level while one forked child counts its inertia and solves the next
 coarser level (``_solve``).  Either way every check reads the same bits.
 """
 
@@ -236,14 +236,10 @@ def _potential(surface: CanonicalSurface) -> float:
     return surface.intrinsic_dim + canonical.second_fundamental_norm_sq(surface)
 
 
-def _index_shifts(surface: CanonicalSurface, solver_tol: float) -> tuple:
-    """(lo, hi): the shifts below the potential at which the Morse index is
-    counted; ``_index_checks`` states the rule."""
-    potential = _potential(surface)
-    below = max(lam for lam, _ in canonical.exact_spectrum(surface, 6)
-                if lam < potential - 1e-12)
-    lo = potential - max(10.0 * solver_tol, 0.05 * (potential - below))
-    return lo, potential - 10.0 * solver_tol
+def _index_shift(surface: CanonicalSurface, solver_tol: float) -> float:
+    """The shift below the potential at which the Morse index is counted;
+    ``_index_checks`` states the rule."""
+    return _potential(surface) - 10.0 * solver_tol
 
 
 def _blas_width(cpus: int) -> int:
@@ -257,22 +253,22 @@ def _blas_width(cpus: int) -> int:
     return cpus
 
 
-def _solve(middle, fine, shifts, solver_tol, seed):
+def _solve(middle, fine, shift, solver_tol, seed):
     """The lowest six deflated eigenpairs of the pencils ``middle`` and
-    ``fine``, and a pair (c, count) for each shift c in ``shifts``: the
-    number of eigenvalues of ``fine`` below c.
+    ``fine``, and the pair (shift, count): the number of eigenvalues of
+    ``fine`` below ``shift``.
 
     The factorizations behind these do not depend on each other.  When the
     usable CPUs hold two BLAS pools, this process solves ``fine`` while one
-    forked child (``_fork.child``) counts the inertias and then solves
+    forked child (``_fork.child``) counts the inertia and then solves
     ``middle``.  Either way each result is the same call on the same
     matrices, so its bits are the same.
     """
     def solve(ops):
         return solve_lowest(ops, 6, tol=solver_tol, seed=seed)
 
-    def counts():
-        return tuple((c, morse_index(fine, c)) for c in shifts)
+    def count():
+        return shift, morse_index(fine, shift)
 
     # Idle BLAS threads spin before they sleep, so two pools that together
     # outnumber the CPUs slow both processes down.  On 2 vCPUs at a user-set
@@ -280,32 +276,32 @@ def _solve(middle, fine, shifts, solver_tol, seed):
     # 0.67 s split against 0.39 s in one process; at width 1, 0.21 s.
     cpus = _fork.cpus()
     if cpus < 2 * _blas_width(cpus):
-        return [solve(middle), solve(fine)], counts()
+        return [solve(middle), solve(fine)], count()
     # The child inherits the modules loaded here.  Loaded in the child, they
     # would die with it, and every verify would import scipy again.
     import scipy.linalg  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
-    with _fork.child(lambda: (counts(), solve(middle)), SolverError) as child:
+    with _fork.child(lambda: (count(), solve(middle)), SolverError) as child:
         fine_spectrum = solve(fine)
-        index_counts, middle_spectrum = child()
-    return [middle_spectrum, fine_spectrum], index_counts
+        index_count, middle_spectrum = child()
+    return [middle_spectrum, fine_spectrum], index_count
 
 
 @dataclass(frozen=True)
 class _Run:
     """What every check group reads: the surface, its levels from coarse
     to fine, the lowest deflated spectra of the two finest levels, the
-    sweep betas, the tolerance scale and, for each index shift c, the pair
-    (c, count) of the finest level's eigenvalue count below c."""
+    sweep betas, the tolerance scale and the pair (c, count) of the finest
+    level's eigenvalue count below the index shift c."""
 
     surface: CanonicalSurface
     levels: tuple
     spectra: list
     betas: list
     tol: float
-    index_counts: tuple
+    index_count: tuple
 
     @property
     def n(self) -> int:
@@ -455,35 +451,24 @@ def _volume_checks(run: _Run) -> list:
 
 
 def _index_checks(run: _Run) -> list:
-    """The Morse index, counted at lo = c - margin below the potential c.
+    """The Morse index, counted at hi = c - 10 solver_tol below the
+    potential c.
 
     Discrete eigenvalues approach the exact ones from above, so one at or
-    above hi = c - 10 solver_tol counts as a nonnegative direction.  One in
-    the margin band [lo, hi), the margin being the larger of 10 solver_tol
-    and 5% of the gap down to the next exact level, cannot be classified
-    and fails the check.
+    above hi counts as a nonnegative direction.  A discrete eigenvalue on
+    the wrong side of hi changes the count and fails the check.
     """
     potential = _potential(run.surface)
     # The index counts the exact eigenvalues below the potential.
     target = float(sum(mult for lam, mult in canonical.exact_spectrum(run.surface, 6)
                        if lam < potential))
-    (lo, idx), (hi, below_hi) = run.index_counts
-    banded = below_hi - idx
-    if banded:
-        index = make_check(
-            "C9-index",
-            "index could not be classified: %d eigenvalue(s) lie in the"
-            " margin band [%.6g, %.6g)" % (banded, lo, hi),
-            -1.0, target, 0.0, mode="absolute", passed=False,
-        )
-    else:
-        index = make_check(
-            "C9-index",
-            "eigenvalue count below the stability potential n + |A|^2 = %g"
-            % potential,
-            float(idx), target, 0.0, mode="absolute",
-        )
-    return [index]
+    _shift, count = run.index_count
+    return [make_check(
+        "C9-index",
+        "eigenvalue count below the stability potential n + |A|^2 = %g"
+        % potential,
+        float(count), target, 0.0, mode="absolute",
+    )]
 
 
 def _eigensum_checks(run: _Run) -> list:
@@ -542,7 +527,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     MeshError before any level is solved.  Individual check failures are recorded; infrastructure failures
     (assembly errors, solver non-convergence) propagate, also those raised
     in the forked child.  ``wall_times`` holds the time spent building the
-    levels (the two finest spectra and the index counts included, the mesh
+    levels (the two finest spectra and the index count included, the mesh
     stats not: they are made in the first check group that reads them),
     then the time of each check group.
     """
@@ -568,11 +553,11 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     opss = [assemble(m) for m in meshes]
     # The order checks read the two finest levels only, so no coarser level
     # is solved.
-    spectra, index_counts = _solve(*opss[-2:], _index_shifts(surface, solver_tol),
-                                   solver_tol, seed)
+    spectra, index_count = _solve(*opss[-2:], _index_shift(surface, solver_tol),
+                                  solver_tol, seed)
     wall = {"levels": clock() - start}
     run = _Run(surface, tuple(map(_Level, meshes, opss)), spectra, betas, tol,
-               index_counts)
+               index_count)
     checks = []
     for name, group in _CHECK_GROUPS.items():
         start = clock()

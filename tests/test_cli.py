@@ -574,8 +574,9 @@ def test_sweep_profiles_parent_failure_stops_the_child(tmp_path, monkeypatch, ca
 
 # argv -> the stderr line of a usage error (exit 2).  "{torus}" is a torus
 # SMESH file, "{foreign}" a closed unit-sphere mesh no surface is recognized
-# in, "{bad_cfg}" a config file with a malformed line, "{level_cfg}" one
-# that sets --resolution, "{missing}" a path that does not exist.
+# in, "{bad_cfg}" a config file with a malformed line, "{nbsp_cfg}" one
+# with a no-break space (byte 0xa0) on line 2, "{level_cfg}" one that sets
+# --resolution, "{missing}" a path that does not exist.
 USAGE_ERRORS = [
     (["mesh", "--surface", "clifford", "--subdiv", "3"],
      "--subdiv applies to the sphere; use --resolution"),
@@ -659,6 +660,8 @@ USAGE_ERRORS = [
      "--config: [Errno 2] No such file or directory: '{missing}'"),
     (["oracle", "--surface", "sphere", "--config", "{bad_cfg}"],
      "--config: line 2 is not 'key = value'"),
+    (["oracle", "--surface", "sphere", "--config", "{nbsp_cfg}"],
+     "--config: line 2 is not ASCII"),
     (["oracle", "--surface", "sphere", "--config"],
      "--config needs a file path"),
     # flags the command would otherwise ignore
@@ -720,10 +723,11 @@ def usage_files(tmp_path_factory):
     foreign = mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None)
     mesh.write_mesh(foreign, root / "foreign.smesh")
     (root / "bad.cfg").write_text("count = 3\nn 2\n")
+    (root / "nbsp.cfg").write_bytes(b"count = 3\nn\xa0= 2\n")
     (root / "level.cfg").write_text("resolution = 12\n")
     return {"torus": str(root / "t8.smesh"), "foreign": str(root / "foreign.smesh"),
-            "bad_cfg": str(root / "bad.cfg"), "missing": str(root / "missing.cfg"),
-            "level_cfg": str(root / "level.cfg")}
+            "bad_cfg": str(root / "bad.cfg"), "nbsp_cfg": str(root / "nbsp.cfg"),
+            "missing": str(root / "missing.cfg"), "level_cfg": str(root / "level.cfg")}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -107,6 +107,9 @@ def test_observed_order():
     errors = [1.6e-2, 4.0e-3, 1.0e-3]
     assert observed_order(errors, widths) == pytest.approx(2.0, abs=1e-12)
     assert observed_order([1e-15, 1e-16], [0.2, 0.1]) == float("inf")
+    # One exact level: the finer one gives inf, the coarser one 0.
+    assert observed_order([1e-3, 0.0], [0.2, 0.1]) == float("inf")
+    assert observed_order([0.0, 1e-3], [0.2, 0.1]) == 0.0
     with pytest.raises(ValueError):
         observed_order([1.0], [0.1])
     with pytest.raises(ValueError, match="^errors and widths must have matching lengths$"):
@@ -271,12 +274,12 @@ def _inline_level(surface, resolution):
 
 def _inline_run(surface, levels):
     """A _Run over prebuilt levels, with the two finest levels' spectra and
-    the finest level's index counts taken here at the default solver
+    the finest level's index count taken here at the default solver
     tolerance."""
     spectra = [eigen.solve_lowest(lv.ops, 6) for lv in levels[-2:]]
-    counts = tuple((shift, eigen.morse_index(levels[-1].ops, shift))
-                   for shift in verify._index_shifts(surface, 1e-8))
-    return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, counts)
+    shift = verify._index_shift(surface, 1e-8)
+    count = (shift, eigen.morse_index(levels[-1].ops, shift))
+    return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, count)
 
 
 def test_check_groups_run_alone_on_prebuilt_levels():
@@ -291,13 +294,8 @@ def test_check_groups_run_alone_on_prebuilt_levels():
     assert checks == report.checks
 
 
-@pytest.fixture(scope="module")
-def torus16_level():
-    return _inline_level(TORUS, 16)
-
-
-def test_replaced_level_reads_its_meshs_stats_and_coordinates(torus16_level):
-    level = torus16_level
+def test_replaced_level_reads_its_meshs_stats_and_coordinates():
+    level = _inline_level(TORUS, 16)
     assert level.stats == verify.mesh_stats(level.mesh)
     assert len(level.coords) == 4
     sphere = verify.generate(SPHERE, 2)
@@ -309,28 +307,34 @@ def test_replaced_level_reads_its_meshs_stats_and_coordinates(torus16_level):
         np.testing.assert_array_equal(column, sphere.vertices[:, i])
 
 
-# Torus 16's level-4 cluster starts at 4.104136; the stiffness is scaled to
-# move it to ``lowest`` (None keeps it).  The margin band below the
-# potential 4 is [3.9, 4 - 1e-7): counted below it, left out above it.
-@pytest.mark.parametrize("lowest, measured, description", [
-    (None, 5.0, "eigenvalue count below the stability potential n + |A|^2 = 4"),
-    (3.95, -1.0, "index could not be classified: 2 eigenvalue(s) lie in the"
-                 " margin band [3.9, 4)"),
-    (3.85, 7.0, "eigenvalue count below the stability potential n + |A|^2 = 4"),
-    (4.0 - 5e-8, 5.0,
-     "eigenvalue count below the stability potential n + |A|^2 = 4"),
-], ids=["unscaled", "banded", "below-band", "above-band"])
-def test_index_check_margin_band(torus16_level, lowest, measured, description):
-    level = torus16_level
-    if lowest is not None:
+# The stiffness is scaled to move the nth deflated eigenvalue to ``value``
+# (None keeps it): torus 16's level-4 cluster starts at 4.104136 (n = 4),
+# and sphere 2's lambda_1 cluster is 2.046255 (n = 2).  The index is counted
+# below hi = potential - 1e-7, so a value in the band [potential - 0.1, hi)
+# just below it is counted like any other below hi, and one in [hi,
+# potential) is not.
+@pytest.mark.parametrize("surface, resolution, nth, value, measured, expected", [
+    (TORUS, 16, 4, None, 5.0, 5.0),
+    (TORUS, 16, 4, 3.95, 7.0, 5.0),
+    (TORUS, 16, 4, 3.85, 7.0, 5.0),
+    (TORUS, 16, 4, 4.0 - 5e-8, 5.0, 5.0),
+    (SPHERE, 2, 2, 1.95, 4.0, 1.0),
+], ids=["unscaled", "banded", "below-band", "above-band", "sphere-banded"])
+def test_index_check_margin_band(surface, resolution, nth, value, measured,
+                                 expected):
+    level = _inline_level(surface, resolution)
+    if value is not None:
         ops = level.ops
-        scale = lowest / eigen.solve_lowest(ops, 5).eigenvalues[4]
+        scale = value / eigen.solve_lowest(ops, nth + 1).eigenvalues[nth]
         level = dataclasses.replace(level, ops=dataclasses.replace(
             ops, stiffness=ops.stiffness * scale))
-    index = verify._index_checks(_inline_run(TORUS, (level,)))[0]
-    assert (index.id, index.measured, index.expected) == ("C9-index", measured, 5.0)
-    assert index.description == description
-    assert index.passed == (measured == 5.0)
+    index = verify._index_checks(_inline_run(surface, (level,)))[0]
+    assert (index.id, index.measured, index.expected) == (
+        "C9-index", measured, expected)
+    assert index.description == (
+        "eigenvalue count below the stability potential n + |A|^2 = %g"
+        % (4 if surface is TORUS else 2))
+    assert index.passed == (measured == expected)
 
 
 def test_zero_tolerance_fails_inexact_checks():
@@ -444,8 +448,8 @@ def _no_child_left():
 def test_run_all_solves_each_level_once(monkeypatch, tmp_path, fork_cpus):
     # The spectra of the two finest levels serve C1/C2 and C10, and no check
     # reads one of a coarser level, so none is solved; the Morse index
-    # counts pivots on the finest operators instead of solving again.  The
-    # calls are appended to a file, so those of the forked child count too;
+    # counts pivots once, on the finest operators, instead of solving again.
+    # The calls are appended to a file, so those of the forked child count too;
     # the child is a copy of this process, so ids name the same operators.
     fork_cpus(2)
     log = tmp_path / "calls"
@@ -465,7 +469,7 @@ def test_run_all_solves_each_level_once(monkeypatch, tmp_path, fork_cpus):
     calls = [line.split() for line in log.read_text().splitlines()]
     solves = {int(dim): ops for name, dim, ops in calls if name == "solve"}
     assert sorted(int(dim) for name, dim, _ in calls if name == "solve") == [256, 1024]
-    assert [ops for name, _, ops in calls if name == "index"] == [solves[1024]] * 2
+    assert [ops for name, _, ops in calls if name == "index"] == [solves[1024]]
 
 
 @pytest.mark.parametrize("surface", [TORUS, SPHERE], ids=["torus", "sphere"])
@@ -482,15 +486,15 @@ def test_split_and_inline_reports_are_byte_equal(surface, fork_cpus, forks):
 
 
 def test_split_and_inline_solves_are_bit_identical(fork_cpus):
-    # Shifts on either side of the torus's lambda_1 = 2 cluster tell the
-    # two counts apart: the constants below 1, four more below 3.
+    # A shift above the torus's lambda_1 = 2 cluster counts the constant
+    # and the cluster's four copies.
     middle, fine = (verify.assemble(verify.generate(TORUS, r)) for r in (16, 32))
     results = []
     for cpus in (2, 1):
         fork_cpus(cpus)
-        results.append(verify._solve(middle, fine, (1.0, 3.0), 1e-8, 0))
-    (split, split_counts), (inline, inline_counts) = results
-    assert split_counts == inline_counts == ((1.0, 1), (3.0, 5))
+        results.append(verify._solve(middle, fine, 3.0, 1e-8, 0))
+    (split, split_count), (inline, inline_count) = results
+    assert split_count == inline_count == (3.0, 5)
     assert len(split) == len(inline) == 2
     for a, b in zip(split, inline):
         for field in ("eigenvalues", "eigenvectors", "residuals"):
