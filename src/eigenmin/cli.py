@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from . import canonical
-from .eigen import NonConvergence, SolverError, _check_seed, _check_tol, solve_lowest
+from .eigen import (
+    NonConvergence,
+    SolverError,
+    _check_seed,
+    _check_tol,
+    _lowest_shift,
+    solve_lowest,
+)
 from .fem import (
     assemble,
     coordinate_function,
@@ -167,8 +174,10 @@ def cmd_spectrum(args):
         raise UsageError("--k must be at least 1")
     mesh = _load_mesh(args)
     ops = assemble(mesh)
+    sigma = _lowest_shift(mesh.surface, args.k, args.tol, args.deflate)
     spectrum = solve_lowest(ops, args.k, tol=args.tol,
-                            deflate_constants=args.deflate, seed=args.seed)
+                            deflate_constants=args.deflate, seed=args.seed,
+                            sigma=sigma)
     lines = [
         "EIGENMIN-SPECTRUM 1",
         "surface: %s" % (mesh.surface.kind if mesh.surface else "unknown"),

@@ -3,15 +3,30 @@
 Only the source of the Ritz pairs depends on the dimension.  Up to 600
 (torus resolution 24, sphere subdivision 2) it is one dense generalized
 solve; the levels a default verify solves, torus 32 and 64 and sphere 3
-and 4, are all larger.  Larger problems factor S + M
-once (sparse LU with a symmetric ordering and diagonal pivots) and run
-shift-invert Lanczos (ARPACK) about sigma = -1 from a fixed seeded start
-vector, with two guard pairs beyond the wanted ones.  Everything after
+and 4, are all larger.  Larger problems factor S - sigma M once (sparse
+LU with a symmetric ordering and diagonal pivots) and run shift-invert
+Lanczos (ARPACK) about sigma from a fixed seeded start vector, with two
+guard pairs beyond the wanted ones.  Everything after
 that is shared: the pairs are sorted, the constant mode is deflated by
 dropping the eigenvector with the largest mass-weighted mean, the
 residuals are recomputed from the matrices, and one certificate applies,
 so a Spectrum certifies itself: ||S v - lambda M v|| / ||M v|| <= tolerance
 holds for every reported pair, or NonConvergence is raised.
+
+The shift is -1, below the whole spectrum, unless the caller knows where
+the exact levels lie.  Shift-invert returns the Ritz values nearest sigma;
+once they include the constant (lambda = 0) they include every value in
+[0, 2 sigma], so they are the lowest ones.  ``_lowest_shift`` therefore
+picks sigma = 3 where the exact eigenvalues in [0, 6] are exactly the
+wanted pairs and the next level lies above 6: the constant, the wanted
+pairs and the two guards make 9, which is k = 6 deflated on both surfaces
+(0, 2 x4, 4 x4 on the Clifford torus; 0, 2 x3, 6 x5 on S^2).  There ARPACK
+needs fewer operator applications (torus 128: 63 -> 44; sphere 4:
+88 -> 65).  Its residuals are higher, up to 1.7e-9 (sphere 4 and 5, 400
+seeds) against 2e-12 about -1, so sigma = 3 is picked only for tolerances
+of 1e-8 and above, the default.  Deflation checks that the pair it drops
+is the constant mode, so a shift that missed it raises NonConvergence
+whoever picked it.
 
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
 number of eigenvalues below c > 0 is the number of negative pivots of one
@@ -34,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import CanonicalSurface, exact_spectrum
 from .fem import FemOperators
 
 __all__ = [
@@ -49,10 +65,22 @@ _DENSE_CUTOFF = 600
 # last pairs converge slowest, and a wanted pair inside a degenerate cluster
 # can otherwise stop short of the residual certificate.
 _GUARD_PAIRS = 2
-# Shift of the factored pencil S - sigma M.  S is positive semidefinite and
-# M positive definite, so S + M is positive definite and the shift sits
-# below the whole spectrum.
+# Default shift of the factored pencil S - sigma M.  S is positive
+# semidefinite and M positive definite, so S + M is positive definite and
+# the shift sits below the whole spectrum.
 _SIGMA = -1.0
+# The shift between the first exact levels, and the least tolerance it is
+# picked for.  Its Ritz values are the lowest ones only when they include
+# the constant: ``_lowest_shift`` picks it where the exact eigenvalues in
+# [0, 2 * 3] are the 9 Ritz pairs of k = 6 deflated, and ``_ritz_spectrum``
+# raises when the constant is missing.  ARPACK's applications fall from
+# 62-63 to 44-50 on the torus (64, 128, 256) and from 82-88 to 59-65 on the
+# sphere (4, 5, 6).  At one BLAS thread the worst residual was 7.1e-10 over
+# torus 25-80 and sphere 3-5 (k = 6-8, seeds 0-2), 3.3e-10 at torus 256 and
+# 3.0e-10 at sphere 6 (seeds 0-2), but 1.5e-9 at sphere 4 (300 seeds, 5
+# above 1e-9) and 1.7e-9 at sphere 5 (100 seeds), hence the floor 1e-8.
+_SIGMA_BETWEEN = 3.0
+_SIGMA_BETWEEN_TOL = 1e-8
 # ARPACK restarts before a solve gives up with NonConvergence.
 _MAXITER = 3000
 
@@ -64,7 +92,8 @@ class SolverError(RuntimeError):
 class NonConvergence(SolverError):
     """Iteration budget exhausted before the residuals certified.
 
-    Carries the best partial result in the ``spectrum`` attribute.
+    Carries the best partial result in the ``spectrum`` attribute, or None
+    when no Ritz pair was the constant mode to deflate.
     """
 
     def __init__(self, message, spectrum=None):
@@ -125,7 +154,10 @@ class _Factor:
         """Number of eigenvalues below ``shift`` when A = S - shift M.
 
         Only a factor that kept its diagonal (perm_r == perm_c) is congruent
-        to A, so only then do its pivots carry A's inertia.
+        to A, so only then do its pivots carry A's inertia.  Reading
+        ``lu.U`` makes scipy build and cache both L and U as sparse
+        matrices, 14 MB more resident at torus 128 (83 -> 97 MB), so a
+        solve reads no count.
         """
         if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
             raise SolverError(
@@ -184,12 +216,23 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
     """Sorted Spectrum of the lowest k Ritz pairs, residuals recomputed.
 
     Deflation drops the Ritz vector with the largest |1'M v|, the one that
-    carries the constant mode.
+    carries the constant mode.  It must be that mode: its M-cosine with the
+    constant must exceed 1/sqrt(2), which at most one vector of the
+    M-orthonormal Ritz vectors can do.  Otherwise no Ritz pair is the
+    constant, and NonConvergence is raised instead of dropping another
+    eigenvector.
     """
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     if deflate and vals.size:
-        drop = np.argmax(np.abs((M @ np.ones(S.shape[0])) @ vecs))
+        mass = M @ np.ones(S.shape[0])
+        weights = np.abs(mass @ vecs)
+        drop = np.argmax(weights)
+        cosine = weights[drop] / np.sqrt(mass.sum())
+        if not cosine > 0.5 ** 0.5:
+            raise NonConvergence(
+                "no Ritz pair is the constant mode (largest M-cosine with it"
+                " %.3g) after %d operator applications" % (cosine, iterations))
         keep = np.arange(vals.size) != drop
         vals, vecs = vals[keep], vecs[:, keep]
     vals, vecs = vals[:k], vecs[:, :k]
@@ -197,14 +240,14 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
                     deflate)
 
 
-def _ritz_pairs(S, M, k, deflate, seed):
+def _ritz_pairs(S, M, k, deflate, seed, sigma):
     """Ritz pairs of the pencil, the operator applications and, if ARPACK
     stopped short, what it converged.
 
     Up to ``_DENSE_CUTOFF`` every pair comes from one dense generalized
     solve, counted as one application.  Above it, the k wanted pairs, the
     constant mode if deflated and the guard pairs come from shift-invert
-    ARPACK about ``_SIGMA`` with one factor of S - sigma M, from a start
+    ARPACK about ``sigma`` with one factor of S - sigma M, from a start
     vector fixed by ``seed``.
     """
     dim = S.shape[0]
@@ -221,7 +264,7 @@ def _ritz_pairs(S, M, k, deflate, seed):
                          " than dim=%d" % (k, wanted, dim))
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    lu = _factor(S - _SIGMA * M)
+    lu = _factor(S - sigma * M)
     applications = 0
 
     def apply_inverse(x):
@@ -232,13 +275,38 @@ def _ritz_pairs(S, M, k, deflate, seed):
     op_inv = LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
     v0 = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
     try:
-        vals, vecs = eigsh(S, wanted, M=M, sigma=_SIGMA, OPinv=op_inv, v0=v0,
+        vals, vecs = eigsh(S, wanted, M=M, sigma=sigma, OPinv=op_inv, v0=v0,
                            tol=0, maxiter=_MAXITER)
     except ArpackNoConvergence as exc:
         return (exc.eigenvalues, exc.eigenvectors, applications,
                 "ARPACK converged %d of %d Ritz pairs"
                 % (exc.eigenvalues.size, wanted))
     return vals, vecs, applications, None
+
+
+def _lowest_shift(surface: CanonicalSurface | None, k: int, tol: float,
+                  deflate_constants: bool = True) -> float:
+    """The shift at which ``solve_lowest`` returns the lowest k pairs of a
+    pencil that discretizes ``surface`` (None: unknown) in fewest
+    applications.
+
+    It is ``_SIGMA_BETWEEN`` = 3 when the solve deflates, ``tol`` is at
+    least ``_SIGMA_BETWEEN_TOL``, the exact eigenvalues in [0, 6] are
+    exactly the constant, the k wanted pairs and the guard pairs, and no
+    level lies within 1 of 3, so that S - 3 M stays far from singular: k = 6
+    on the Clifford torus and on S^2.  Otherwise it is ``_SIGMA``.
+    """
+    if (surface is None or not deflate_constants
+            or tol < _SIGMA_BETWEEN_TOL):
+        return _SIGMA
+    top = 2.0 * _SIGMA_BETWEEN
+    levels = exact_spectrum(surface, 1)
+    while levels[-1][0] <= top:
+        levels = exact_spectrum(surface, len(levels) + 1)
+    inside = sum(mult for lam, mult in levels[:-1])
+    apart = all(abs(lam - _SIGMA_BETWEEN) >= 1.0 for lam, _ in levels)
+    return (_SIGMA_BETWEEN if inside == k + 1 + _GUARD_PAIRS and apart
+            else _SIGMA)
 
 
 def _check_tol(tol, name="tol"):
@@ -252,7 +320,8 @@ def _check_seed(seed):
 
 
 def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
-                 deflate_constants: bool = True, seed: int = 0) -> Spectrum:
+                 deflate_constants: bool = True, seed: int = 0,
+                 sigma: float = _SIGMA) -> Spectrum:
     """Lowest k eigenpairs of S v = lambda M v, ascending.
 
     ``ops`` holds the stiffness and mass matrices.  With
@@ -266,6 +335,17 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     the sparse path ``seed`` (a non-negative integer on both paths) fixes
     the start vector and ``Spectrum.iterations`` counts applications of the
     factored inverse; the dense path reports 1.
+
+    The sparse path factors S - ``sigma`` M and returns the Ritz pairs
+    nearest ``sigma``.  The default -1 lies below the whole spectrum, so
+    they are the lowest.  A sigma inside the spectrum saves applications
+    but returns the lowest pairs only where the constant is among the
+    nearest ones, and only when deflating can that be checked: the dropped
+    pair must be the constant mode, or NonConvergence is raised.
+    ``_lowest_shift`` picks sigma = 3 where the exact eigenvalues in [0, 6]
+    are the 9 pairs a deflated k = 6 computes on the torus and on S^2
+    (torus 128: 63 -> 44 applications; sphere 4: 88 -> 65), and only for
+    a ``tol`` of at least 1e-8, above the residual floor about 3.
     """
     S, M = _pencil(ops)
     dim = S.shape[0]
@@ -278,7 +358,7 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
 
     vals, vecs, applications, short = _ritz_pairs(S, M, k, deflate_constants,
-                                                  seed)
+                                                  seed, sigma)
     spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications,
                               deflate_constants)
     worst = spectrum.residuals.max(initial=0.0)

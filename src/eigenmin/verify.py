@@ -37,6 +37,7 @@ from .eigen import (
     Spectrum,
     _check_seed,
     _check_tol,
+    _lowest_shift,
     morse_index,
     solve_lowest,
 )
@@ -253,10 +254,10 @@ def _blas_width(cpus: int) -> int:
     return cpus
 
 
-def _solve(middle, fine, shift, solver_tol, seed):
+def _solve(middle, fine, shift, solver_tol, seed, sigma):
     """The lowest six deflated eigenpairs of the pencils ``middle`` and
-    ``fine``, and the pair (shift, count): the number of eigenvalues of
-    ``fine`` below ``shift``.
+    ``fine``, each solved about ``sigma``, and the pair (shift, count): the
+    number of eigenvalues of ``fine`` below ``shift``.
 
     The factorizations behind these do not depend on each other.  When the
     usable CPUs hold two BLAS pools, this process solves ``fine`` while one
@@ -265,7 +266,7 @@ def _solve(middle, fine, shift, solver_tol, seed):
     matrices, so its bits are the same.
     """
     def solve(ops):
-        return solve_lowest(ops, 6, tol=solver_tol, seed=seed)
+        return solve_lowest(ops, 6, tol=solver_tol, seed=seed, sigma=sigma)
 
     def count():
         return shift, morse_index(fine, shift)
@@ -554,7 +555,8 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     # The order checks read the two finest levels only, so no coarser level
     # is solved.
     spectra, index_count = _solve(*opss[-2:], _index_shift(surface, solver_tol),
-                                  solver_tol, seed)
+                                  solver_tol, seed,
+                                  _lowest_shift(surface, 6, solver_tol))
     wall = {"levels": clock() - start}
     run = _Run(surface, tuple(map(_Level, meshes, opss)), spectra, betas, tol,
                index_count)

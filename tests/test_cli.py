@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigenmin import _fork, _text, canonical, cli, mesh, trial, verify
+from eigenmin import _fork, _text, canonical, cli, eigen, fem, mesh, trial, verify
 from eigenmin.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -57,6 +57,37 @@ def test_spectrum_command(capsys):
     assert len(data_lines) == 4
     lam0 = float(data_lines[0].split()[0])
     assert lam0 == pytest.approx(2.0, rel=0.1)
+
+
+@pytest.mark.parametrize("flags, generated", [
+    (["--surface", "clifford", "--resolution", "32"], lambda: mesh.generate_torus(32)),
+    (["--surface", "sphere", "--subdiv", "3"], lambda: mesh.generate_sphere(3)),
+], ids=["torus", "sphere"])
+def test_spectrum_values_do_not_depend_on_the_shift(flags, generated, capsys):
+    # spectrum solves k = 6 about 3, between the exact levels, and every
+    # other k about -1: each prints the values of the solve about -1, and
+    # k = 6 needs fewer operator applications.
+    ops = fem.assemble(generated())
+    for k in range(1, 9):
+        assert main(["spectrum", *flags, "--k", str(k)]) == EXIT_OK
+        out = capsys.readouterr().out
+        values = [float(l.split()[0]) for l in out.splitlines() if l[:1].isdigit()]
+        below = eigen.solve_lowest(ops, k)
+        np.testing.assert_allclose(values, below.eigenvalues, rtol=1e-9, atol=0)
+        iterations = int(out.split("iterations: ")[1].split()[0])
+        assert (iterations < below.iterations) == (k == 6)
+
+
+@pytest.mark.parametrize("flags, tol", [
+    (["--surface", "clifford", "--resolution", "64"], "1e-12"),
+    (["--surface", "sphere", "--subdiv", "4", "--seed", "70"], "1e-09"),
+], ids=["torus-1e-12", "sphere-1e-9"])
+def test_spectrum_below_the_shifts_floor_solves_about_minus_one(flags, tol, capsys):
+    # A tolerance below 1e-8 keeps the shift at -1, whose residuals reach it.
+    # About 3, sphere 4 at seed 70 stops at a residual of 1.5e-9.
+    rc = main(["spectrum", *flags, "--k", "6", "--tol", tol])
+    assert rc == EXIT_OK
+    assert "tolerance: %s" % float(tol) in capsys.readouterr().out
 
 
 def test_spectrum_sphere_subdiv5_converges(capsys):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from eigenmin import eigen, fem, mesh
+from eigenmin import canonical, eigen, fem, mesh
 from eigenmin.eigen import NonConvergence, SolverError, morse_index, solve_lowest
 
 
@@ -213,6 +213,53 @@ def test_sparse_path_solves_beyond_a_quarter_of_the_dimension():
     assert spectrum.eigenvalues.size == 161
     assert spectrum.iterations > 1
     assert np.all(spectrum.residuals <= spectrum.tolerance)
+
+
+def test_lowest_shift_lies_between_levels_only_for_nine_pairs():
+    # Deflated k = 6 with two guards makes 9 Ritz pairs: the exact
+    # eigenvalues in [0, 6] on both surfaces.  Other k, an undeflated
+    # solve, a tolerance below the floor at 3 and an unknown surface keep
+    # -1.  On S^3 (levels 0, 3 x4, 8) k = 2 fills [0, 6] too, but 3 is a
+    # level there.
+    for surface in (canonical.clifford_torus(), canonical.equatorial_sphere(2)):
+        assert [eigen._lowest_shift(surface, k, 1e-8) for k in range(1, 10)] == (
+            [-1.0] * 5 + [3.0] + [-1.0] * 3)
+        assert eigen._lowest_shift(surface, 6, 1e-8) == 3.0
+        assert eigen._lowest_shift(surface, 6, 9.9e-9) == -1.0
+        assert eigen._lowest_shift(surface, 6, 1e-8, deflate_constants=False) == -1.0
+    assert eigen._lowest_shift(None, 6, 1e-8) == -1.0
+    assert eigen._lowest_shift(canonical.equatorial_sphere(3), 2, 1e-8) == -1.0
+
+
+@pytest.mark.parametrize("surface, level", [
+    ("torus", 25), ("torus", 32), ("torus", 64), ("torus", 80),
+    ("sphere", 3), ("sphere", 4), ("sphere", 5),
+])
+def test_shift_between_levels_gives_the_lowest_pairs(surface, level):
+    # About 3 the Ritz values nearest the shift are the lowest ones, with
+    # fewer applications than about -1; at these seeds the residuals stay
+    # an order below the 1e-8 floor of the shift.
+    m = mesh.generate_torus(level) if surface == "torus" else mesh.generate_sphere(level)
+    ops = fem.assemble(m)
+    assert eigen._lowest_shift(m.surface, 6, 1e-8) == 3.0
+    below = solve_lowest(ops, 6, tol=1e-9)
+    for seed in range(3):
+        between = solve_lowest(ops, 6, tol=1e-9, seed=seed, sigma=3.0)
+        np.testing.assert_allclose(between.eigenvalues, below.eigenvalues,
+                                   rtol=1e-9, atol=0, err_msg="seed %d" % seed)
+        assert np.all(between.residuals <= 1e-9)
+        assert between.iterations < below.iterations
+
+
+def test_shift_that_misses_the_constant_raises(ops64):
+    # At k = 4 the 7 Ritz values nearest 3 are the lambda_1 cluster and
+    # three of the level-4 one, without the constant: deflation would drop
+    # an eigenvector of the cluster, so the solve raises instead.
+    with pytest.raises(NonConvergence, match=r"^no Ritz pair is the constant mode"
+                       r" \(largest M-cosine with it \S+\) after \d+ operator"
+                       r" applications$") as info:
+        solve_lowest(ops64, 4, sigma=3.0)
+    assert info.value.spectrum is None
 
 
 def test_morse_index_torus(ops64):

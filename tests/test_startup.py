@@ -103,7 +103,7 @@ verify.morse_index = lambda ops, c: c
 _fork.cpus = lambda: 2
 forks, real_fork = [], os.fork
 os.fork = lambda: forks.append(1) or real_fork()
-assert verify._solve("middle", "fine", 3.0, 1e-8, 0) == (
+assert verify._solve("middle", "fine", 3.0, 1e-8, 0, 3.0) == (
     ["middle", "fine"], (3.0, 3.0))
 print(json.dumps([threads, len(forks)]))
 """

@@ -275,8 +275,9 @@ def _inline_level(surface, resolution):
 def _inline_run(surface, levels):
     """A _Run over prebuilt levels, with the two finest levels' spectra and
     the finest level's index count taken here at the default solver
-    tolerance."""
-    spectra = [eigen.solve_lowest(lv.ops, 6) for lv in levels[-2:]]
+    tolerance, each spectrum about run_all's shift."""
+    sigma = eigen._lowest_shift(surface, 6, 1e-8)
+    spectra = [eigen.solve_lowest(lv.ops, 6, sigma=sigma) for lv in levels[-2:]]
     shift = verify._index_shift(surface, 1e-8)
     count = (shift, eigen.morse_index(levels[-1].ops, shift))
     return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, count)
@@ -492,7 +493,7 @@ def test_split_and_inline_solves_are_bit_identical(fork_cpus):
     results = []
     for cpus in (2, 1):
         fork_cpus(cpus)
-        results.append(verify._solve(middle, fine, 3.0, 1e-8, 0))
+        results.append(verify._solve(middle, fine, 3.0, 1e-8, 0, 3.0))
     (split, split_count), (inline, inline_count) = results
     assert split_count == inline_count == (3.0, 5)
     assert len(split) == len(inline) == 2
