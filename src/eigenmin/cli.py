@@ -23,7 +23,6 @@ from .eigen import (
     SolverError,
     _check_seed,
     _check_tol,
-    _lowest_shift,
     solve_lowest,
 )
 from .fem import (
@@ -174,10 +173,9 @@ def cmd_spectrum(args):
         raise UsageError("--k must be at least 1")
     mesh = _load_mesh(args)
     ops = assemble(mesh)
-    sigma = _lowest_shift(mesh.surface, args.k, args.tol, args.deflate)
     spectrum = solve_lowest(ops, args.k, tol=args.tol,
                             deflate_constants=args.deflate, seed=args.seed,
-                            sigma=sigma)
+                            surface=mesh.surface)
     lines = [
         "EIGENMIN-SPECTRUM 1",
         "surface: %s" % (mesh.surface.kind if mesh.surface else "unknown"),

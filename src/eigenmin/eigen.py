@@ -13,20 +13,22 @@ residuals are recomputed from the matrices, and one certificate applies,
 so a Spectrum certifies itself: ||S v - lambda M v|| / ||M v|| <= tolerance
 holds for every reported pair, or NonConvergence is raised.
 
-The shift is -1, below the whole spectrum, unless the caller knows where
-the exact levels lie.  Shift-invert returns the Ritz values nearest sigma;
-once they include the constant (lambda = 0) they include every value in
-[0, 2 sigma], so they are the lowest ones.  ``_lowest_shift`` therefore
-picks sigma = 3 where the exact eigenvalues in [0, 6] are exactly the
-wanted pairs and the next level lies above 6: the constant, the wanted
-pairs and the two guards make 9, which is k = 6 deflated on both surfaces
-(0, 2 x4, 4 x4 on the Clifford torus; 0, 2 x3, 6 x5 on S^2).  There ARPACK
-needs fewer operator applications (torus 128: 63 -> 44; sphere 4:
-88 -> 65).  Its residuals are higher, up to 1.7e-9 (sphere 4 and 5, 400
-seeds) against 2e-12 about -1, so sigma = 3 is picked only for tolerances
-of 1e-8 and above, the default.  Deflation checks that the pair it drops
-is the constant mode, so a shift that missed it raises NonConvergence
-whoever picked it.
+The shift is -1, below the whole spectrum, unless the caller names the
+surface the pencil discretizes (``spectrum`` its mesh's, ``verify`` its
+own), which fixes where the exact levels lie.  Shift-invert returns the
+Ritz values nearest sigma; once they include the constant (lambda = 0)
+they include every value in [0, 2 sigma], so they are the lowest ones.
+``_lowest_shift`` therefore picks sigma = 3 where the exact eigenvalues in
+[0, 6] are exactly the wanted pairs and the next level lies above 6: the
+constant, the wanted pairs and the two guards make 9, which is k = 6
+deflated on both surfaces (0, 2 x4, 4 x4 on the Clifford torus; 0, 2 x3,
+6 x5 on S^2).  There ARPACK needs fewer operator applications (torus 128:
+63 -> 44; sphere 4: 88 -> 65).  Its residuals are higher, up to 1.7e-9
+(sphere 4 and 5, 400 seeds) against 2e-12 about -1, so sigma = 3 is picked
+only for tolerances of 1e-8 and above, the default.  Deflation checks that
+the pair it drops is the constant mode, so a surface that does not match
+the pencil can at worst raise NonConvergence, never return pairs that are
+not the lowest.
 
 The Morse index needs no eigensolve: by Sylvester's law of inertia the
 number of eigenvalues below c > 0 is the number of negative pivots of one
@@ -321,7 +323,7 @@ def _check_seed(seed):
 
 def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
                  deflate_constants: bool = True, seed: int = 0,
-                 sigma: float = _SIGMA) -> Spectrum:
+                 surface: CanonicalSurface | None = None) -> Spectrum:
     """Lowest k eigenpairs of S v = lambda M v, ascending.
 
     ``ops`` holds the stiffness and mass matrices.  With
@@ -336,16 +338,13 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     the start vector and ``Spectrum.iterations`` counts applications of the
     factored inverse; the dense path reports 1.
 
-    The sparse path factors S - ``sigma`` M and returns the Ritz pairs
-    nearest ``sigma``.  The default -1 lies below the whole spectrum, so
-    they are the lowest.  A sigma inside the spectrum saves applications
-    but returns the lowest pairs only where the constant is among the
-    nearest ones, and only when deflating can that be checked: the dropped
-    pair must be the constant mode, or NonConvergence is raised.
-    ``_lowest_shift`` picks sigma = 3 where the exact eigenvalues in [0, 6]
-    are the 9 pairs a deflated k = 6 computes on the torus and on S^2
-    (torus 128: 63 -> 44 applications; sphere 4: 88 -> 65), and only for
-    a ``tol`` of at least 1e-8, above the residual floor about 3.
+    ``surface`` is the surface the pencil discretizes, or None if it is
+    unknown.  From it the solver places the shift sigma of S - sigma M
+    (``_lowest_shift``): 3, between the first exact levels, for a deflated
+    k = 6 on the torus and on S^2 at a ``tol`` of 1e-8 or above, and -1,
+    below the whole spectrum, otherwise.  The pair that deflation drops
+    must be the constant mode, or NonConvergence is raised, so a wrong
+    surface can at worst make the solve raise.
     """
     S, M = _pencil(ops)
     dim = S.shape[0]
@@ -357,6 +356,7 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     if k > limit:
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
 
+    sigma = _lowest_shift(surface, k, tol, deflate_constants)
     vals, vecs, applications, short = _ritz_pairs(S, M, k, deflate_constants,
                                                   seed, sigma)
     spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications,

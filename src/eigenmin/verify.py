@@ -37,7 +37,6 @@ from .eigen import (
     Spectrum,
     _check_seed,
     _check_tol,
-    _lowest_shift,
     morse_index,
     solve_lowest,
 )
@@ -254,10 +253,10 @@ def _blas_width(cpus: int) -> int:
     return cpus
 
 
-def _solve(middle, fine, shift, solver_tol, seed, sigma):
+def _solve(surface, middle, fine, solver_tol, seed):
     """The lowest six deflated eigenpairs of the pencils ``middle`` and
-    ``fine``, each solved about ``sigma``, and the pair (shift, count): the
-    number of eigenvalues of ``fine`` below ``shift``.
+    ``fine`` of ``surface``, and the number of eigenvalues of ``fine``
+    below the index shift (``_index_shift``).
 
     The factorizations behind these do not depend on each other.  When the
     usable CPUs hold two BLAS pools, this process solves ``fine`` while one
@@ -266,10 +265,10 @@ def _solve(middle, fine, shift, solver_tol, seed, sigma):
     matrices, so its bits are the same.
     """
     def solve(ops):
-        return solve_lowest(ops, 6, tol=solver_tol, seed=seed, sigma=sigma)
+        return solve_lowest(ops, 6, tol=solver_tol, seed=seed, surface=surface)
 
     def count():
-        return shift, morse_index(fine, shift)
+        return morse_index(fine, _index_shift(surface, solver_tol))
 
     # Idle BLAS threads spin before they sleep, so two pools that together
     # outnumber the CPUs slow both processes down.  On 2 vCPUs at a user-set
@@ -294,15 +293,15 @@ def _solve(middle, fine, shift, solver_tol, seed, sigma):
 class _Run:
     """What every check group reads: the surface, its levels from coarse
     to fine, the lowest deflated spectra of the two finest levels, the
-    sweep betas, the tolerance scale and the pair (c, count) of the finest
-    level's eigenvalue count below the index shift c."""
+    sweep betas, the tolerance scale and the finest level's eigenvalue
+    count below the index shift."""
 
     surface: CanonicalSurface
     levels: tuple
     spectra: list
     betas: list
     tol: float
-    index_count: tuple
+    index_count: int
 
     @property
     def n(self) -> int:
@@ -463,12 +462,11 @@ def _index_checks(run: _Run) -> list:
     # The index counts the exact eigenvalues below the potential.
     target = float(sum(mult for lam, mult in canonical.exact_spectrum(run.surface, 6)
                        if lam < potential))
-    _shift, count = run.index_count
     return [make_check(
         "C9-index",
         "eigenvalue count below the stability potential n + |A|^2 = %g"
         % potential,
-        float(count), target, 0.0, mode="absolute",
+        float(run.index_count), target, 0.0, mode="absolute",
     )]
 
 
@@ -554,9 +552,7 @@ def run_all(surface: CanonicalSurface, resolutions=None, betas=None,
     opss = [assemble(m) for m in meshes]
     # The order checks read the two finest levels only, so no coarser level
     # is solved.
-    spectra, index_count = _solve(*opss[-2:], _index_shift(surface, solver_tol),
-                                  solver_tol, seed,
-                                  _lowest_shift(surface, 6, solver_tol))
+    spectra, index_count = _solve(surface, *opss[-2:], solver_tol, seed)
     wall = {"levels": clock() - start}
     run = _Run(surface, tuple(map(_Level, meshes, opss)), spectra, betas, tol,
                index_count)

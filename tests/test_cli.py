@@ -59,23 +59,29 @@ def test_spectrum_command(capsys):
     assert lam0 == pytest.approx(2.0, rel=0.1)
 
 
-@pytest.mark.parametrize("flags, generated", [
-    (["--surface", "clifford", "--resolution", "32"], lambda: mesh.generate_torus(32)),
-    (["--surface", "sphere", "--subdiv", "3"], lambda: mesh.generate_sphere(3)),
-], ids=["torus", "sphere"])
-def test_spectrum_values_do_not_depend_on_the_shift(flags, generated, capsys):
-    # spectrum solves k = 6 about 3, between the exact levels, and every
-    # other k about -1: each prints the values of the solve about -1, and
-    # k = 6 needs fewer operator applications.
+_TORUS32 = (["--surface", "clifford", "--resolution", "32"], lambda: mesh.generate_torus(32))
+_SPHERE3 = (["--surface", "sphere", "--subdiv", "3"], lambda: mesh.generate_sphere(3))
+
+
+@pytest.mark.parametrize("flags, generated, deflate", [
+    (*_TORUS32, True), (*_SPHERE3, True), (*_TORUS32, False), (*_SPHERE3, False),
+], ids=["torus", "sphere", "torus-undeflated", "sphere-undeflated"])
+def test_spectrum_values_do_not_depend_on_the_shift(flags, generated, deflate, capsys):
+    # spectrum solves a deflated k = 6 about 3, between the exact levels,
+    # and every other solve about -1: each prints the values of the solve
+    # about -1, and only the deflated k = 6 needs fewer operator
+    # applications.  Undeflated, the constant's zero is the first value.
     ops = fem.assemble(generated())
+    word = "true" if deflate else "false"
     for k in range(1, 9):
-        assert main(["spectrum", *flags, "--k", str(k)]) == EXIT_OK
+        assert main(["spectrum", *flags, "--k", str(k), "--deflate", word]) == EXIT_OK
         out = capsys.readouterr().out
-        values = [float(l.split()[0]) for l in out.splitlines() if l[:1].isdigit()]
-        below = eigen.solve_lowest(ops, k)
+        rows = out.split("eigenvalue residual\n")[1].splitlines()
+        values = [float(row.split()[0]) for row in rows]
+        below = eigen.solve_lowest(ops, k, deflate_constants=deflate)
         np.testing.assert_allclose(values, below.eigenvalues, rtol=1e-9, atol=0)
         iterations = int(out.split("iterations: ")[1].split()[0])
-        assert (iterations < below.iterations) == (k == 6)
+        assert (iterations < below.iterations) == (k == 6 and deflate)
 
 
 @pytest.mark.parametrize("flags, tol", [
@@ -139,6 +145,25 @@ def test_spectrum_from_mesh_file(tmp_path, capsys):
     rc = main(["spectrum", "--mesh", str(path), "--k", "2"])
     assert rc == EXIT_OK
     assert "dim: 100" in capsys.readouterr().out
+
+
+def test_spectrum_of_an_unknown_surface_past_the_dense_cutoff(tmp_path, capsys):
+    # The 3-subdivided icosphere turned out of the x4 = 0 slice (dim 642)
+    # is no canonical surface, so its solve is the one about -1.
+    sphere = mesh.generate_sphere(3)
+    turn = np.eye(4)
+    turn[2:, 2:] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+    path = tmp_path / "foreign.smesh"
+    mesh.write_mesh(mesh.TriMesh(sphere.vertices @ turn.T, sphere.faces, None), path)
+    rc = main(["spectrum", "--mesh", str(path), "--k", "6"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "surface: unknown\ndim: 642\n" in out
+    below = eigen.solve_lowest(fem.assemble(mesh.read_mesh(path)), 6)
+    rows = ["%r %r" % pair for pair in zip(below.eigenvalues.tolist(),
+                                           below.residuals.tolist())]
+    assert out.endswith("iterations: %d\neigenvalue residual\n%s\n"
+                        % (below.iterations, "\n".join(rows)))
 
 
 def test_spectrum_mesh_and_surface_conflict(capsys):

@@ -244,21 +244,22 @@ def test_shift_between_levels_gives_the_lowest_pairs(surface, level):
     assert eigen._lowest_shift(m.surface, 6, 1e-8) == 3.0
     below = solve_lowest(ops, 6, tol=1e-9)
     for seed in range(3):
-        between = solve_lowest(ops, 6, tol=1e-9, seed=seed, sigma=3.0)
+        between = solve_lowest(ops, 6, seed=seed, surface=m.surface)
         np.testing.assert_allclose(between.eigenvalues, below.eigenvalues,
                                    rtol=1e-9, atol=0, err_msg="seed %d" % seed)
         assert np.all(between.residuals <= 1e-9)
         assert between.iterations < below.iterations
 
 
-def test_shift_that_misses_the_constant_raises(ops64):
+def test_shift_that_misses_the_constant_raises(ops64, monkeypatch):
     # At k = 4 the 7 Ritz values nearest 3 are the lambda_1 cluster and
     # three of the level-4 one, without the constant: deflation would drop
     # an eigenvector of the cluster, so the solve raises instead.
+    monkeypatch.setattr(eigen, "_lowest_shift", lambda *args: 3.0)
     with pytest.raises(NonConvergence, match=r"^no Ritz pair is the constant mode"
                        r" \(largest M-cosine with it \S+\) after \d+ operator"
                        r" applications$") as info:
-        solve_lowest(ops64, 4, sigma=3.0)
+        solve_lowest(ops64, 4, surface=canonical.clifford_torus())
     assert info.value.spectrum is None
 
 

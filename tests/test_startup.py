@@ -103,8 +103,9 @@ verify.morse_index = lambda ops, c: c
 _fork.cpus = lambda: 2
 forks, real_fork = [], os.fork
 os.fork = lambda: forks.append(1) or real_fork()
-assert verify._solve("middle", "fine", 3.0, 1e-8, 0, 3.0) == (
-    ["middle", "fine"], (3.0, 3.0))
+torus = verify.canonical.clifford_torus()
+assert verify._solve(torus, "middle", "fine", 1e-8, 0) == (
+    ["middle", "fine"], verify._index_shift(torus, 1e-8))
 print(json.dumps([threads, len(forks)]))
 """
 

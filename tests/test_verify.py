@@ -275,11 +275,9 @@ def _inline_level(surface, resolution):
 def _inline_run(surface, levels):
     """A _Run over prebuilt levels, with the two finest levels' spectra and
     the finest level's index count taken here at the default solver
-    tolerance, each spectrum about run_all's shift."""
-    sigma = eigen._lowest_shift(surface, 6, 1e-8)
-    spectra = [eigen.solve_lowest(lv.ops, 6, sigma=sigma) for lv in levels[-2:]]
-    shift = verify._index_shift(surface, 1e-8)
-    count = (shift, eigen.morse_index(levels[-1].ops, shift))
+    tolerance, each spectrum solved for the surface as run_all solves it."""
+    spectra = [eigen.solve_lowest(lv.ops, 6, surface=surface) for lv in levels[-2:]]
+    count = eigen.morse_index(levels[-1].ops, verify._index_shift(surface, 1e-8))
     return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, count)
 
 
@@ -487,15 +485,15 @@ def test_split_and_inline_reports_are_byte_equal(surface, fork_cpus, forks):
 
 
 def test_split_and_inline_solves_are_bit_identical(fork_cpus):
-    # A shift above the torus's lambda_1 = 2 cluster counts the constant
-    # and the cluster's four copies.
+    # The index shift, just below the torus's potential 4, counts the
+    # constant and the lambda_1 = 2 cluster's four copies.
     middle, fine = (verify.assemble(verify.generate(TORUS, r)) for r in (16, 32))
     results = []
     for cpus in (2, 1):
         fork_cpus(cpus)
-        results.append(verify._solve(middle, fine, 3.0, 1e-8, 0, 3.0))
+        results.append(verify._solve(TORUS, middle, fine, 1e-8, 0))
     (split, split_count), (inline, inline_count) = results
-    assert split_count == inline_count == (3.0, 5)
+    assert split_count == inline_count == 5
     assert len(split) == len(inline) == 2
     for a, b in zip(split, inline):
         for field in ("eigenvalues", "eigenvectors", "residuals"):
