@@ -77,20 +77,6 @@ def clifford_torus() -> CanonicalSurface:
     return CanonicalSurface("clifford", 2)
 
 
-def reduce_angle(delta):
-    """Reduce an angle difference to the interval (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(delta, dtype=float), TWO_PI)
-
-
-def torus_angle_deltas(p, q):
-    """Reduced (dtheta, dphi) between torus points, each in (-pi, pi]."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape[-1] != 2 or q.shape[-1] != 2:
-        raise ValueError("torus points are angle pairs (theta, phi)")
-    return reduce_angle(p - q)
-
-
 def embed(surface: CanonicalSurface, p) -> np.ndarray:
     """Map a parametric point to its ambient coordinates on the unit sphere.
 
@@ -147,7 +133,11 @@ def geodesic_distance(surface: CanonicalSurface, p, q):
     reduced to (-pi, pi].  Broadcasts over leading axes.
     """
     if surface.kind == "clifford":
-        d = torus_angle_deltas(p, q)
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if p.shape[-1] != 2 or q.shape[-1] != 2:
+            raise ValueError("torus points are angle pairs (theta, phi)")
+        d = math.pi - np.mod(math.pi - (p - q), TWO_PI)
         out = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2) / SQRT2
     else:
         a = embed(surface, p)

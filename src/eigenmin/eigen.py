@@ -92,15 +92,8 @@ class SolverError(RuntimeError):
 
 
 class NonConvergence(SolverError):
-    """Iteration budget exhausted before the residuals certified.
-
-    Carries the best partial result in the ``spectrum`` attribute, or None
-    when no Ritz pair was the constant mode to deflate.
-    """
-
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
+    """The solve gave no certified spectrum; the message says why and names
+    the work spent."""
 
 
 @dataclass(frozen=True)
@@ -243,21 +236,21 @@ def _ritz_spectrum(S, M, vals, vecs, k, tol, iterations, deflate):
 
 
 def _ritz_pairs(S, M, k, deflate, seed, sigma):
-    """Ritz pairs of the pencil, the operator applications and, if ARPACK
-    stopped short, what it converged.
+    """Ritz values and vectors of the pencil, and the operator applications.
 
     Up to ``_DENSE_CUTOFF`` every pair comes from one dense generalized
     solve, counted as one application.  Above it, the k wanted pairs, the
     constant mode if deflated and the guard pairs come from shift-invert
     ARPACK about ``sigma`` with one factor of S - sigma M, from a start
-    vector fixed by ``seed``.
+    vector fixed by ``seed``; when ARPACK's budget runs out first,
+    NonConvergence names how many pairs it converged.
     """
     dim = S.shape[0]
     if dim <= _DENSE_CUTOFF:
         from scipy.linalg import eigh
 
         try:
-            return (*eigh(S.toarray(), M.toarray()), 1, None)
+            return (*eigh(S.toarray(), M.toarray()), 1)
         except np.linalg.LinAlgError:
             raise ValueError("mass matrix must be symmetric positive definite")
     wanted = k + bool(deflate) + _GUARD_PAIRS
@@ -280,10 +273,11 @@ def _ritz_pairs(S, M, k, deflate, seed, sigma):
         vals, vecs = eigsh(S, wanted, M=M, sigma=sigma, OPinv=op_inv, v0=v0,
                            tol=0, maxiter=_MAXITER)
     except ArpackNoConvergence as exc:
-        return (exc.eigenvalues, exc.eigenvectors, applications,
-                "ARPACK converged %d of %d Ritz pairs"
-                % (exc.eigenvalues.size, wanted))
-    return vals, vecs, applications, None
+        raise NonConvergence(
+            "ARPACK converged %d of %d Ritz pairs after %d operator"
+            " applications" % (exc.eigenvalues.size, wanted, applications)
+        ) from None
+    return vals, vecs, applications
 
 
 def _lowest_shift(surface: CanonicalSurface | None, k: int, tol: float,
@@ -332,8 +326,8 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
     On both paths the pairs are sorted and deflated the same way, and the
     residuals of the returned pairs are recomputed and certified below
     ``tol``.  If a residual lies above it, or ARPACK's iteration budget
-    runs out first, NonConvergence carries the best partial spectrum, and
-    its message names the operator applications spent or the dense solve.  On
+    runs out first, NonConvergence is raised, and its message names the
+    operator applications spent or the dense solve.  On
     the sparse path ``seed`` (a non-negative integer on both paths) fixes
     the start vector and ``Spectrum.iterations`` counts applications of the
     factored inverse; the dense path reports 1.
@@ -357,17 +351,16 @@ def solve_lowest(ops: FemOperators, k: int, tol: float = 1e-8,
         raise ValueError("k=%d exceeds the available spectrum (dim=%d)" % (k, dim))
 
     sigma = _lowest_shift(surface, k, tol, deflate_constants)
-    vals, vecs, applications, short = _ritz_pairs(S, M, k, deflate_constants,
-                                                  seed, sigma)
+    vals, vecs, applications = _ritz_pairs(S, M, k, deflate_constants, seed,
+                                           sigma)
     spectrum = _ritz_spectrum(S, M, vals, vecs, k, tol, applications,
                               deflate_constants)
     worst = spectrum.residuals.max(initial=0.0)
-    if short is None and worst > tol:
-        short = "residual %.3e above tolerance %.1e" % (worst, tol)
-    if short is not None:
+    if worst > tol:
         work = ("the dense solve" if dim <= _DENSE_CUTOFF
                 else "%d operator applications" % applications)
-        raise NonConvergence("%s after %s" % (short, work), spectrum=spectrum)
+        raise NonConvergence("residual %.3e above tolerance %.1e after %s"
+                             % (worst, tol, work))
     return spectrum
 
 

@@ -34,7 +34,6 @@ from . import _fork, canonical
 from .canonical import CanonicalSurface
 from .eigen import (
     SolverError,
-    Spectrum,
     _check_seed,
     _check_tol,
     morse_index,
@@ -58,8 +57,6 @@ __all__ = [
     "VerificationReport",
     "CLAIMS",
     "run_all",
-    "conjecture_check",
-    "volume_bound_check",
     "render_report",
     "report_csv",
 ]
@@ -155,59 +152,6 @@ class VerificationReport:
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def conjecture_check(surface: CanonicalSurface, spectrum: Spectrum,
-                     area: float, tol: float = 0.01) -> Check:
-    """Average of the first two nonzero eigenvalues against 4 pi^2 / area.
-
-    The bound is stated for embedded minimal surfaces of genus at least
-    one, so the torus gets a hard equality check and the sphere result is
-    recorded as informational.
-    """
-    if len(spectrum.eigenvalues) < 2:
-        raise ValueError("need at least two nonzero eigenvalues")
-    if not spectrum.deflated:
-        raise ValueError("conjecture check expects a deflated spectrum")
-    measured = float(np.mean(spectrum.eigenvalues[:2]))
-    bound = canonical.TWO_PI ** 2 / area
-    if surface.kind == "clifford":
-        return make_check(
-            "C10-eigensum",
-            "(lambda_1 + lambda_2)/2 against 4 pi^2 / area; equality holds on the torus",
-            measured, bound, tol, mode="relative",
-        )
-    return make_check(
-        "C10-eigensum",
-        "(lambda_1 + lambda_2)/2 = %.6g vs 4 pi^2 / area = %.6g; the bound is"
-        " scoped to genus >= 1, so the sphere value is informational"
-        % (measured, bound),
-        measured, bound, tol, mode="info",
-    )
-
-
-def volume_bound_check(surface: CanonicalSurface, area: float,
-                       tol: float = 0.01) -> Check:
-    """Area against the closed-form volume lower bound.
-
-    Passes when the bound holds within tolerance and the equality pattern
-    matches the surface: equality exactly for the totally geodesic sphere,
-    strict inequality otherwise.
-    """
-    bound = canonical.volume_lower_bound(surface.intrinsic_dim)
-    holds = area >= bound * (1.0 - tol)
-    equal = abs(area - bound) <= tol * bound
-    # Equality holds exactly for the totally geodesic surface, |A|^2 = 0.
-    should_be_equal = canonical.second_fundamental_norm_sq(surface) == 0.0
-    consistent = equal == should_be_equal
-    word = "attained" if equal else "strict"
-    return make_check(
-        "C8-bound",
-        "area %.6g vs lower bound %.6g (%s); equality is expected exactly for"
-        " the equatorial sphere" % (area, bound, word),
-        area, bound, tol, mode="lower_bound",
-        passed=bool(holds and consistent),
-    )
 
 
 @dataclass(frozen=True)
@@ -436,9 +380,24 @@ def _willmore_checks(run: _Run) -> list:
 
 
 def _volume_checks(run: _Run) -> list:
-    """The volume bound, the area and Euler."""
+    """The volume bound, the area and Euler.
+
+    The bound passes when it holds within tolerance and the equality
+    pattern matches the surface: equality exactly for the totally geodesic
+    sphere, |A|^2 = 0, strict inequality otherwise.
+    """
     area = run.fine.stats.total_area
-    return [volume_bound_check(run.surface, area, 0.01 * run.tol), make_check(
+    tol = 0.01 * run.tol
+    bound = canonical.volume_lower_bound(run.n)
+    holds = area >= bound * (1.0 - tol)
+    equal = abs(area - bound) <= tol * bound
+    consistent = equal == (canonical.second_fundamental_norm_sq(run.surface) == 0.0)
+    return [make_check(
+        "C8-bound",
+        "area %.6g vs lower bound %.6g (%s); equality is expected exactly for"
+        " the equatorial sphere" % (area, bound, "attained" if equal else "strict"),
+        area, bound, tol, mode="lower_bound", passed=holds and consistent,
+    ), make_check(
         "area",
         "total mesh area at the finest resolution against the closed form",
         area, canonical.exact_area(run.surface), 0.01 * run.tol,
@@ -471,8 +430,25 @@ def _index_checks(run: _Run) -> list:
 
 
 def _eigensum_checks(run: _Run) -> list:
-    return [conjecture_check(run.surface, run.spectra[-1],
-                             run.fine.stats.total_area, 0.01 * run.tol)]
+    """The average of the first two nonzero eigenvalues against
+    4 pi^2 / area.  The bound is stated for embedded minimal surfaces of
+    genus at least one, so the torus gets an equality check and the
+    sphere's value is recorded as informational."""
+    measured = float(np.mean(run.spectra[-1].eigenvalues[:2]))
+    bound = canonical.TWO_PI ** 2 / run.fine.stats.total_area
+    if run.torus:
+        return [make_check(
+            "C10-eigensum",
+            "(lambda_1 + lambda_2)/2 against 4 pi^2 / area; equality holds on the torus",
+            measured, bound, 0.01 * run.tol,
+        )]
+    return [make_check(
+        "C10-eigensum",
+        "(lambda_1 + lambda_2)/2 = %.6g vs 4 pi^2 / area = %.6g; the bound is"
+        " scoped to genus >= 1, so the sphere value is informational"
+        % (measured, bound),
+        measured, bound, 0.01 * run.tol, mode="info",
+    )]
 
 
 def _integrated_checks(run: _Run) -> list:

@@ -13,9 +13,7 @@ from eigenmin.canonical import (
     exact_area,
     exact_spectrum,
     geodesic_distance,
-    reduce_angle,
     second_fundamental_norm_sq,
-    torus_angle_deltas,
     volume_lower_bound,
 )
 
@@ -94,20 +92,26 @@ def test_volume_lower_bound():
         volume_lower_bound(0)
 
 
-def test_reduce_angle_convention():
-    # Target interval is (-pi, pi], closed on the right.
-    assert reduce_angle(math.pi) == pytest.approx(math.pi, abs=1e-15)
-    assert reduce_angle(-math.pi) == pytest.approx(math.pi, abs=1e-15)
-    assert reduce_angle(3.0 * math.pi) == pytest.approx(math.pi, abs=1e-12)
-    assert reduce_angle(0.25) == pytest.approx(0.25, abs=1e-15)
-    assert reduce_angle(2.0 * math.pi - 0.25) == pytest.approx(-0.25, abs=1e-12)
-    vals = reduce_angle(np.linspace(-20.0, 20.0, 401))
-    assert np.all(vals > -math.pi - 1e-12) and np.all(vals <= math.pi + 1e-12)
+def test_torus_distance_across_the_seam():
+    # theta = 0.1 and 2 pi - 0.1 lie 0.2 apart across the seam, not
+    # 2 pi - 0.2 apart the long way; so do phi = 0.1 and 2 pi - 0.1, and
+    # angles a whole number of turns away.
+    near = 0.2 / math.sqrt(2.0)
+    assert geodesic_distance(TORUS, [0.1, 1.0], [2.0 * math.pi - 0.1, 1.0]) == (
+        pytest.approx(near, rel=1e-12))
+    assert geodesic_distance(TORUS, [1.0, 0.1], [1.0, 2.0 * math.pi - 0.1]) == (
+        pytest.approx(near, rel=1e-12))
+    assert geodesic_distance(TORUS, [0.1, 0.0], [-0.1 + 6.0 * math.pi, 0.0]) == (
+        pytest.approx(near, rel=1e-12))
+    # Half a turn in each angle is the farthest any two points lie apart.
+    assert geodesic_distance(TORUS, [0.0, 0.0], [3.0 * math.pi, -math.pi]) == (
+        pytest.approx(math.pi, rel=1e-12))
 
 
-def test_torus_angle_deltas_shape_check():
-    with pytest.raises(ValueError):
-        torus_angle_deltas([0.0, 0.0, 0.0], [0.0, 0.0])
+def test_torus_distance_rejects_points_that_are_not_angle_pairs():
+    for p, q in (([0.0, 0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0])):
+        with pytest.raises(ValueError, match=r"^torus points are angle pairs \(theta, phi\)$"):
+            geodesic_distance(TORUS, p, q)
 
 
 def test_embed_torus():
@@ -178,13 +182,14 @@ def test_metric_axioms(surface):
 
 def test_torus_distance_matches_embedded_chord():
     # Geodesic distance must dominate the ambient chord length and agree with
-    # the flat-metric formula  |reduced delta| / sqrt(2).
+    # the flat-metric formula  |reduced delta| / sqrt(2), each angle
+    # difference reduced to (-pi, pi] as pi - mod(pi - delta, 2 pi).
     rng = np.random.default_rng(11)
     pts = _random_points(TORUS, rng, 40)
     for a in range(0, 40, 2):
         p, q = pts[a], pts[a + 1]
         d = geodesic_distance(TORUS, p, q)
-        delta = torus_angle_deltas(p, q)
+        delta = math.pi - np.mod(math.pi - (p - q), 2.0 * math.pi)
         assert d == pytest.approx(np.linalg.norm(delta) / math.sqrt(2.0), rel=1e-12)
         chord = np.linalg.norm(embed(TORUS, p) - embed(TORUS, q))
         assert d >= chord - 1e-12

@@ -147,19 +147,14 @@ def test_permutation_invariance(ops32):
     assert np.abs(ref.eigenvalues - per.eigenvalues).max() < 10.0 * 1e-9
 
 
-def test_nonconvergence_carries_best_spectrum(ops64, monkeypatch):
-    # One ARPACK restart converges only part of the wanted pairs; the error
-    # keeps those, each with its residual certificate.
+def test_nonconvergence_names_the_pairs_arpack_converged(ops64, monkeypatch):
+    # One ARPACK restart converges only part of the 8 Ritz pairs (6 wanted,
+    # 2 guards); the error says how many, and the work spent.
     monkeypatch.setattr(eigen, "_MAXITER", 1)
-    with pytest.raises(NonConvergence) as info:
+    with pytest.raises(NonConvergence, match=r"^ARPACK converged [1-7] of 8 Ritz"
+                       r" pairs after \d+ operator applications$") as info:
         solve_lowest(ops64, 6, deflate_constants=False)
-    err = info.value
-    assert isinstance(err, SolverError)
-    assert err.spectrum is not None
-    assert 0 < err.spectrum.eigenvalues.size < 6
-    assert err.spectrum.eigenvectors.shape == (ops64.dim, err.spectrum.eigenvalues.size)
-    assert np.all(err.spectrum.residuals <= err.spectrum.tolerance)
-    assert "converged" in str(err)
+    assert isinstance(info.value, SolverError)
 
 
 @pytest.mark.parametrize("name, work", [
@@ -168,16 +163,17 @@ def test_nonconvergence_carries_best_spectrum(ops64, monkeypatch):
 ], ids=["dense", "arpack"])
 def test_one_residual_certificate_on_both_paths(request, name, work):
     # Scaled by 1e6, the pencil's residuals grow past tol=1e-8.  Torus 16
-    # takes the dense path and torus 32 ARPACK; both raise, with the six
-    # sorted, deflated pairs and their residuals recomputed, and a message
-    # that names the work of its path.
+    # takes the dense path and torus 32 ARPACK; both raise with a message
+    # that names the work of its path.  The same pencil certifies at
+    # tol=1e-4, with the six sorted, deflated pairs and their residuals
+    # recomputed.
     ops = request.getfixturevalue(name)
     S, M = 1e6 * ops.stiffness, ops.mass
     scaled = _ops(S, M)
     with pytest.raises(NonConvergence, match=r"^residual \S+ above tolerance"
-                       r" 1\.0e-08 after %s$" % work) as info:
+                       r" 1\.0e-08 after %s$" % work):
         solve_lowest(scaled, 6)
-    spectrum = info.value.spectrum
+    spectrum = solve_lowest(scaled, 6, tol=1e-4)
     assert spectrum.eigenvalues.size == 6
     np.testing.assert_allclose(spectrum.eigenvalues,
                                1e6 * solve_lowest(ops, 6).eigenvalues, rtol=1e-9)
@@ -258,9 +254,8 @@ def test_shift_that_misses_the_constant_raises(ops64, monkeypatch):
     monkeypatch.setattr(eigen, "_lowest_shift", lambda *args: 3.0)
     with pytest.raises(NonConvergence, match=r"^no Ritz pair is the constant mode"
                        r" \(largest M-cosine with it \S+\) after \d+ operator"
-                       r" applications$") as info:
+                       r" applications$"):
         solve_lowest(ops64, 4, surface=canonical.clifford_torus())
-    assert info.value.spectrum is None
 
 
 def test_morse_index_torus(ops64):

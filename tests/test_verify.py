@@ -16,13 +16,11 @@ from eigenmin.verify import (
     DEFAULT_BETAS,
     DEFAULT_RESOLUTIONS,
     REPORT_VERSION,
-    conjecture_check,
     make_check,
     observed_order,
     render_report,
     report_csv,
     run_all,
-    volume_bound_check,
 )
 
 TORUS = canonical.clifford_torus()
@@ -57,49 +55,6 @@ def test_replaced_check_reads_its_ids_claim():
     check = make_check("C1-lambda1", "d", 2.0, 2.0, 0.1)
     assert check.claim == CLAIMS["C1-lambda1"]
     assert dataclasses.replace(check, id="C2-lambda1").claim == CLAIMS["C2-lambda1"]
-
-
-def test_conjecture_check_torus(torus_spectrum):
-    area = 19.7233595506816
-    chk = conjecture_check(TORUS, torus_spectrum, area)
-    assert chk.mode == "relative"
-    assert chk.passed
-    assert chk.expected == pytest.approx(4.0 * math.pi**2 / area, rel=1e-12)
-    assert chk.measured == pytest.approx(2.0032, rel=1e-3)
-
-
-def test_conjecture_check_sphere_is_informational(sphere_spectrum):
-    chk = conjecture_check(SPHERE, sphere_spectrum, 12.5513538800961)
-    assert chk.mode == "info"
-    assert chk.passed
-    assert "informational" in chk.description
-
-
-def test_conjecture_check_preconditions(ops16):
-    undeflated = eigen.solve_lowest(ops16, 3, deflate_constants=False)
-    with pytest.raises(ValueError):
-        conjecture_check(TORUS, undeflated, 19.7)
-    with pytest.raises(ValueError, match="^need at least two nonzero eigenvalues$"):
-        conjecture_check(TORUS, eigen.solve_lowest(ops16, 1), 19.7)
-
-
-def test_volume_bound_check_patterns():
-    sphere_area = 12.5513538800961
-    chk = volume_bound_check(SPHERE, sphere_area)
-    assert chk.passed  # bound holds with equality, as it should
-    torus_area = 19.7233595506816
-    chk_t = volume_bound_check(TORUS, torus_area)
-    assert chk_t.passed  # bound holds strictly
-    assert "strict" in chk_t.description
-    # Equality on the torus would contradict the rigidity statement.
-    fake = volume_bound_check(TORUS, 4.0 * math.pi)
-    assert not fake.passed
-    # A sphere area far above the bound breaks the expected equality.
-    fake2 = volume_bound_check(SPHERE, 4.0 * math.pi * 1.1)
-    assert not fake2.passed
-    # Violating the bound outright fails too.
-    fake3 = volume_bound_check(SPHERE, 0.9 * 4.0 * math.pi)
-    assert not fake3.passed
 
 
 def test_observed_order():
@@ -279,6 +234,59 @@ def _inline_run(surface, levels):
     spectra = [eigen.solve_lowest(lv.ops, 6, surface=surface) for lv in levels[-2:]]
     count = eigen.morse_index(levels[-1].ops, verify._index_shift(surface, 1e-8))
     return verify._Run(surface, levels, spectra, list(DEFAULT_BETAS), 1.0, count)
+
+
+def _fine_run(surface, resolution, area=None):
+    """An _Run over one level, its vertices scaled so that the mesh area is
+    ``area`` (None keeps it); mesh_stats does not ask them to lie on the
+    sphere."""
+    level = _inline_level(surface, resolution)
+    if area is not None:
+        mesh = level.mesh
+        scale = math.sqrt(area / level.stats.total_area)
+        level = verify._Level(dataclasses.replace(mesh, vertices=scale * mesh.vertices),
+                              level.ops)
+    return _inline_run(surface, (level,))
+
+
+def test_conjecture_check_torus():
+    run = _fine_run(TORUS, 64)
+    (chk,) = verify._eigensum_checks(run)
+    assert chk.mode == "relative"
+    assert chk.passed
+    assert chk.expected == pytest.approx(
+        4.0 * math.pi**2 / run.fine.stats.total_area, rel=1e-12)
+    assert chk.measured == pytest.approx(2.0032, rel=1e-3)
+
+
+def test_conjecture_check_sphere_is_informational():
+    (chk,) = verify._eigensum_checks(_fine_run(SPHERE, 4))
+    assert chk.mode == "info"
+    assert chk.passed
+    assert "informational" in chk.description
+
+
+def _volume_bound(surface, resolution, area=None):
+    return verify._volume_checks(_fine_run(surface, resolution, area))[0]
+
+
+def test_volume_bound_check_patterns():
+    chk = _volume_bound(SPHERE, 4)
+    assert chk.id == "C8-bound"
+    assert chk.passed  # bound holds with equality, as it should
+    chk_t = _volume_bound(TORUS, 64)
+    assert chk_t.passed  # bound holds strictly
+    assert "strict" in chk_t.description
+    # Equality on the torus would contradict the rigidity statement.
+    fake = _volume_bound(TORUS, 64, 4.0 * math.pi)
+    assert fake.measured == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert not fake.passed
+    # A sphere area far above the bound breaks the expected equality.
+    fake2 = _volume_bound(SPHERE, 4, 4.0 * math.pi * 1.1)
+    assert not fake2.passed
+    # Violating the bound outright fails too.
+    fake3 = _volume_bound(SPHERE, 4, 0.9 * 4.0 * math.pi)
+    assert not fake3.passed
 
 
 def test_check_groups_run_alone_on_prebuilt_levels():
@@ -531,8 +539,7 @@ def _fail_solve_at(monkeypatch, dim, exc):
 
 def test_child_nonconvergence_exits_3_like_inline(fork_cpus, monkeypatch, capsys):
     # Torus 16 is solved in the child on the split path.
-    partial = eigen.solve_lowest(verify.assemble(verify.generate(TORUS, 16)), 6)
-    _fail_solve_at(monkeypatch, 256, eigen.NonConvergence("stalled at 256", partial))
+    _fail_solve_at(monkeypatch, 256, eigen.NonConvergence("stalled at 256"))
     argv = ["verify", "--surface", "clifford", "--resolutions", "8,16,32"]
     errors = []
     for cpus in (2, 1):
@@ -542,9 +549,8 @@ def test_child_nonconvergence_exits_3_like_inline(fork_cpus, monkeypatch, capsys
         _no_child_left()
     assert errors == ["error: solver did not converge: stalled at 256\n"] * 2
     fork_cpus(2)
-    with pytest.raises(eigen.NonConvergence, match="^stalled at 256$") as info:
+    with pytest.raises(eigen.NonConvergence, match="^stalled at 256$"):
         run_all(TORUS, resolutions=[8, 16, 32])
-    np.testing.assert_array_equal(info.value.spectrum.eigenvalues, partial.eigenvalues)
     _no_child_left()
 
 
